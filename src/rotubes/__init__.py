@@ -10,11 +10,11 @@ from .errors import (DegenerateMean, GridMismatch, InvalidDof, InvalidRotation,
                      ZeroResidualColumn)
 from .gkf import EcContext, expected_ec, lkc_estimate, solve_quantile, t_ec_density
 from .simulation import (CoverageReport, ErrorProcessSpec, coverage_experiment,
-                         mc_quantile_oracle, sample_error_path, sample_generating_path,
-                         sample_gp_curve, sample_gp_sample)
+                         mc_quantile_oracle, sample_generating_path, sample_gp_curve,
+                         sample_gp_sample)
 from .so3 import (exp_so3, frob_norm_rescaled, geodesic_distance, hat, log_so3,
                   project_to_so3, vee)
-from .tubes import (ConfidenceTube, HotellingProcess, OverlapReport, act_on_tube,
-                    build_tube, compare_tubes, hotelling, tube_contains)
+from .tubes import (ConfidenceTube, OverlapReport, TubeIngredients, act_on_tube,
+                    build_tube, compare_tubes, tube_contains, tube_ingredients)
 
 __version__ = "0.1.0"

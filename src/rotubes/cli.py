@@ -13,7 +13,7 @@ import sys
 
 from . import battery as battery_mod
 from . import io as rio
-from .curves import CurveSample, TimeGrid
+from .curves import CurveSample, TimeGrid, apply_action_sample
 from .errors import RotubesError
 from .simulation import ErrorProcessSpec, coverage_experiment
 from .tubes import act_on_tube, build_tube, compare_tubes
@@ -141,7 +141,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_tube(args) -> int:
     sample = _load_sample(args)
     if args.alignment:
-        sample = rio.apply_manifest_alignment(sample, rio.action_from_json(args.alignment))
+        sample = apply_action_sample(sample, rio.action_from_json(args.alignment))
     tube = build_tube(sample, args.alpha)
     rio.atomic_write_json(args.out, rio.tube_to_dict(tube))
     print(f"tube: n={tube.n} curves, grid {len(tube.grid)} points, "
@@ -154,8 +154,7 @@ def _cmd_compare(args) -> int:
     tube_a = rio.tube_from_json(args.tube_a)
     tube_b = rio.tube_from_json(args.tube_b)
     if args.alignment:
-        tube_b = act_on_tube(rio.tube_from_json(args.tube_b),
-                             rio.action_from_json(args.alignment),
+        tube_b = act_on_tube(tube_b, rio.action_from_json(args.alignment),
                              out_grid=tube_a.grid)
     report = compare_tubes(tube_a, tube_b)
     rio.atomic_write_json(args.out, rio.overlap_report_to_dict(report))

@@ -24,6 +24,7 @@ __all__ = [
     "pointwise_extrinsic_mean",
     "residuals",
     "apply_action",
+    "apply_action_sample",
     "geodesic_interpolate",
     "curve_length",
     "length_loss",
@@ -161,17 +162,12 @@ class SpatioTemporalAction:
     def compose(self, first: "SpatioTemporalAction") -> "SpatioTemporalAction":
         """Action equal to applying `first`, then self."""
         # (P2, Q2, w2) o (P1, Q1, w1): curve -> P2 P1 curve(w1(w2(t))) Q1 Q2.
-        u = np.union1d(self.warp_knots[:, 0], _strictly_increasing_preimage(self, first))
+        # u also holds the preimages under self's warp of first's knots.
+        pre = np.interp(first.warp_knots[:, 0], self.warp_knots[:, 1], self.warp_knots[:, 0])
+        u = np.union1d(self.warp_knots[:, 0], pre)
         v = first.warp(self.warp(u))
         return SpatioTemporalAction(self.p @ first.p, first.q @ self.q,
                                     np.column_stack([u, v]))
-
-
-def _strictly_increasing_preimage(outer: SpatioTemporalAction,
-                                  inner: SpatioTemporalAction) -> np.ndarray:
-    """Knot u-positions where inner's knots are hit through outer's warp."""
-    targets = inner.warp_knots[:, 0]
-    return np.interp(targets, outer.warp_knots[:, 1], outer.warp_knots[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,12 +176,13 @@ class ResidualField:
 
     sample[n, k] holds the algebra coordinates of mean(t_k)^T curve_n(t_k);
     population[k], when a center curve was supplied, those of
-    mean(t_k)^T center(t_k).
+    mean(t_k)^T center(t_k).  mean is the mean curve they were taken about.
     """
 
     grid: TimeGrid
     sample: np.ndarray
     population: np.ndarray | None = None
+    mean: RotationCurve | None = None
 
     def __post_init__(self):
         s = np.asarray(self.sample, dtype=float)
@@ -216,19 +213,13 @@ def pointwise_extrinsic_mean(sample: CurveSample) -> RotationCurve:
 def residuals(sample: CurveSample, center: RotationCurve | None = None) -> ResidualField:
     """Intrinsic sample (and optionally population) residuals around the mean."""
     pem = pointwise_extrinsic_mean(sample)
-    return _residuals_about(sample, pem, center)
-
-
-def _residuals_about(sample: CurveSample, pem: RotationCurve,
-                     center: RotationCurve | None) -> ResidualField:
     rel = np.einsum("kij,nkil->nkjl", pem.values, sample.values)
-    sample_res = so3.log_so3(rel, validate=False)
     population = None
     if center is not None:
         _require_same_grid(sample.grid, center.grid, "sample and center")
         rel0 = np.einsum("kij,kil->kjl", pem.values, center.values)
         population = so3.log_so3(rel0, validate=False)
-    return ResidualField(sample.grid, sample_res, population)
+    return ResidualField(sample.grid, so3.log_so3(rel, validate=False), population, pem)
 
 
 def _interpolate_many(curve: RotationCurve, s: np.ndarray) -> np.ndarray:

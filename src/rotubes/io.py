@@ -8,6 +8,7 @@ File writes are atomic (temp file in the target directory, then rename).
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -17,11 +18,10 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from . import so3
-from .curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid,
-                     _interpolate_many, apply_action_sample)
-from .errors import NonMonotoneTime, NonRotationRow, ParseError
-from .simulation import CoverageReport, ErrorProcessSpec
-from .tubes import ConfidenceTube, OverlapReport
+from .curves import RotationCurve, SpatioTemporalAction, TimeGrid, _interpolate_many
+from .errors import NonMonotoneTime, NonRotationRow, ParseError, SingularCovariance
+from .simulation import CoverageReport
+from .tubes import ConfidenceTube, OverlapReport, _check_spd
 
 SCHEMA = "rotubes/1"
 
@@ -69,11 +69,7 @@ class DatasetManifest:
 
     @classmethod
     def from_json(cls, path: str) -> "DatasetManifest":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+        data = _load_json(path)
         try:
             conv = data.get("euler_convention", {})
             convention = EulerConvention(conv.get("axes", "zxy"), conv.get("mode", "intrinsic"))
@@ -108,6 +104,9 @@ def _parse_numeric_rows(path: str) -> list[tuple[int, list[float]]]:
                 raise ParseError(f"{path}:{lineno}: field {bad + 1} is not numeric: "
                                  f"{fields[bad]!r}")
             header_allowed = False
+            if not all(map(math.isfinite, values)):
+                bad = next(i for i, v in enumerate(values) if not math.isfinite(v))
+                raise ParseError(f"{path}:{lineno}: field {bad + 1} is not finite")
             rows.append((lineno, values))
     if len(rows) < 2:
         raise ParseError(f"{path}: need at least 2 data rows, found {len(rows)}")
@@ -156,16 +155,17 @@ def ingest_curve_csv(path: str, grid_size: int,
 
 
 def _matrix_rows(path: str, rows: list[tuple[int, list[float]]]) -> np.ndarray:
-    values = np.empty((len(rows), 3, 3))
-    for idx, (lineno, vals) in enumerate(rows):
-        R = np.array(vals[1:]).reshape(3, 3)
-        orth_err = np.abs(R.T @ R - np.eye(3)).max()
-        if orth_err > _PROJECTABLE_ORTH_ERR or np.linalg.det(R) <= 0.0:
-            raise NonRotationRow(f"{path}:{lineno}: orthogonality error {orth_err:.2e} "
-                                 f"or non-positive determinant; not repairable")
-        if orth_err > so3.ROTATION_TOL or abs(np.linalg.det(R) - 1.0) > so3.ROTATION_TOL:
-            R = so3.project_to_so3(R)
-        values[idx] = R
+    values = np.array([vals[1:] for _, vals in rows]).reshape(-1, 3, 3)
+    orth_err = np.abs(np.swapaxes(values, -1, -2) @ values - np.eye(3)).max(axis=(-1, -2))
+    det = np.linalg.det(values)
+    bad = (orth_err > _PROJECTABLE_ORTH_ERR) | (det <= 0.0)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NonRotationRow(f"{path}:{rows[k][0]}: orthogonality error {orth_err[k]:.2e} "
+                             f"or non-positive determinant; not repairable")
+    repair = (orth_err > so3.ROTATION_TOL) | (np.abs(det - 1.0) > so3.ROTATION_TOL)
+    if np.any(repair):
+        values[repair] = so3.project_to_so3(values[repair])
     return values
 
 
@@ -196,12 +196,6 @@ def export_euler(curve: RotationCurve,
         lock = np.abs(90.0 - np.abs(middle)) <= 1e-9
     table = np.column_stack([curve.grid.t, angles])
     return table, lock
-
-
-def apply_manifest_alignment(sample: CurveSample,
-                             act: SpatioTemporalAction) -> CurveSample:
-    """Apply a stored spatio-temporal alignment to every curve of a sample."""
-    return apply_action_sample(sample, act)
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +259,13 @@ def tube_from_dict(data: dict, path: str = "<tube>") -> ConfidenceTube:
         center = RotationCurve(grid, np.array(_require(data, "center", path),
                                               dtype=float).reshape(-1, 3, 3))
         upper = np.array(_require(data, "cov_upper", path), dtype=float)
-        S = np.empty((len(grid), 3, 3))
-        for col, (i, j) in enumerate(_UPPER):
-            S[:, i, j] = upper[:, col]
-            S[:, j, i] = upper[:, col]
+        S = upper[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)   # inverse of _UPPER
+        _check_spd(S, grid)
         return ConfidenceTube(center=center, s=S,
                               hquant=float(_require(data, "hquant", path)),
                               alpha=float(_require(data, "alpha", path)),
                               n=int(_require(data, "n", path)))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, IndexError, SingularCovariance) as exc:
         raise ParseError(f"{path}: bad tube record ({exc})") from exc
 
 
@@ -318,20 +310,6 @@ def coverage_report_to_dict(report: CoverageReport) -> dict:
         "n_singular": report.n_singular,
         "seed": report.seed,
     }
-
-
-def coverage_report_from_dict(data: dict, path: str = "<report>") -> CoverageReport:
-    try:
-        proc = _require(data, "process", path)
-        spec = ErrorProcessSpec(int(proc["family"]), int(proc["modulation"]),
-                                int(proc["mixing"]), float(proc["sigma"]))
-        return CoverageReport(spec=spec, n=int(data["n"]), reps=int(data["reps"]),
-                              alphas=tuple(data["alphas"]), rates=tuple(data["rates"]),
-                              mc_stderr=tuple(data["mc_stderr"]),
-                              n_singular=int(data.get("n_singular", 0)),
-                              seed=data.get("seed"))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(f"{path}: bad coverage record ({exc})") from exc
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -31,7 +31,6 @@ from .errors import SingularCovariance
 __all__ = [
     "ErrorProcessSpec",
     "CoverageReport",
-    "sample_error_path",
     "sample_generating_path",
     "sample_gp_curve",
     "sample_gp_sample",
@@ -128,11 +127,6 @@ def _error_paths(i: int, l: int, grid: TimeGrid, rng: np.random.Generator,
     return raw * modulation(l, t)
 
 
-def sample_error_path(i: int, l: int, grid: TimeGrid, rng: np.random.Generator) -> np.ndarray:
-    """One path of the scalar error process, shape (K,)."""
-    return _error_paths(i, l, grid, rng)
-
-
 def _coordinate_rngs(rng) -> list[np.random.Generator]:
     """Three per-coordinate generators from a Generator or SeedSequence."""
     if isinstance(rng, np.random.SeedSequence):
@@ -186,8 +180,8 @@ def coverage_experiment(spec: ErrorProcessSpec, n: int, reps: int,
     covariance are tolerated as non-covering up to 0.1 percent of reps,
     beyond that the run aborts.
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4 for an invertible 3x3 covariance, got {n}")
+    if n < tubes.MIN_CURVES:
+        raise ValueError(f"need n >= {tubes.MIN_CURVES} for an invertible covariance, got {n}")
     if reps < 1:
         raise ValueError("need at least one replication")
     grid = grid if grid is not None else TimeGrid.uniform(101)

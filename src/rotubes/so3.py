@@ -202,16 +202,3 @@ def geodesic_distance(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
     rel = np.swapaxes(R1, -1, -2) @ R2
     return np.linalg.norm(log_so3(rel), axis=-1)
 
-
-def random_rotations(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Haar-ish random rotations: exp of isotropic Gaussians, angle-resampled.
-
-    Uniform axis directions with angles drawn uniformly on [0, pi); adequate
-    for tests and brute-force searches, not a calibrated Haar sampler.
-    """
-    size = 1 if n is None else n
-    axes = rng.standard_normal((size, 3))
-    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
-    angles = rng.uniform(0.0, np.pi, size)
-    R = exp_so3(axes * angles[:, None])
-    return R[0] if n is None else R

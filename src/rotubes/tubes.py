@@ -1,4 +1,4 @@
-"""Hotelling process, simultaneous confidence tubes and tube comparison.
+"""Hotelling statistic, simultaneous confidence tubes and tube comparison.
 
 The pointwise Mahalanobis statistic of the intrinsic residuals,
 H_t = N xbar_t^T S_t^{-1} xbar_t, drives simultaneous inference: a curve
@@ -9,26 +9,28 @@ characteristic quantile of max_t H_t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gkf, so3
 from .curves import (CurveSample, ResidualField, RotationCurve, SpatioTemporalAction,
-                     TimeGrid, _residuals_about, apply_action, pointwise_extrinsic_mean)
+                     TimeGrid, apply_action, residuals)
 from .errors import GridMismatch, SingularCovariance
 
 __all__ = [
-    "HotellingProcess",
     "ConfidenceTube",
     "OverlapReport",
-    "hotelling",
+    "TubeIngredients",
+    "tube_ingredients",
     "build_tube",
     "tube_contains",
     "compare_tubes",
     "act_on_tube",
 ]
 
+MIN_CURVES = 4           # smallest sample with an invertible 3x3 covariance
 _COND_FLOOR = 1e-12      # min eigenvalue must exceed this times the max
 _SYM_TOL = 1e-10
 _OVERLAP_MARGIN = 1e-6
@@ -36,6 +38,7 @@ _PGD_ITERATIONS = 200
 
 
 def _check_spd(S: np.ndarray, grid: TimeGrid) -> None:
+    """Runs where S enters: tube_ingredients (a sample) and io.tube_from_dict (JSON)."""
     sym_err = np.abs(S - np.swapaxes(S, -1, -2)).max()
     if sym_err > _SYM_TOL:
         raise SingularCovariance(f"covariance asymmetric by {sym_err:.3e}")
@@ -46,26 +49,6 @@ def _check_spd(S: np.ndarray, grid: TimeGrid) -> None:
         raise SingularCovariance(
             f"residual covariance singular at t = {grid.t[k]:.4f}",
             t=float(grid.t[k]), index=k)
-
-
-@dataclass(frozen=True, eq=False)
-class HotellingProcess:
-    """Per-time covariance S, optional population residual xbar and statistic H."""
-
-    grid: TimeGrid
-    n: int
-    s: np.ndarray
-    xbar: np.ndarray | None = None
-    h: np.ndarray | None = None
-
-    def __post_init__(self):
-        S = np.asarray(self.s, dtype=float)
-        if S.shape != (len(self.grid), 3, 3):
-            raise ValueError(f"S must have shape ({len(self.grid)}, 3, 3)")
-        _check_spd(S, self.grid)
-        object.__setattr__(self, "s", S)
-        if self.h is not None and np.any(np.asarray(self.h) < 0.0):
-            raise ValueError("H must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,10 +65,11 @@ class ConfidenceTube:
         S = np.asarray(self.s, dtype=float)
         if S.shape != (len(self.grid), 3, 3):
             raise ValueError(f"S must have shape ({len(self.grid)}, 3, 3)")
-        _check_spd(S, self.grid)
         object.__setattr__(self, "s", S)
-        if not self.hquant >= 0.0:
-            raise ValueError("quantile must be nonnegative")
+        if not self.n >= MIN_CURVES:
+            raise ValueError(f"n must be at least {MIN_CURVES}, got {self.n}")
+        if not (self.hquant >= 0.0 and math.isfinite(self.hquant)):
+            raise ValueError(f"quantile must be finite and nonnegative, got {self.hquant}")
         if not (0.0 < self.alpha <= 0.5):
             raise ValueError(f"alpha must be in (0, 0.5], got {self.alpha}")
 
@@ -115,17 +99,9 @@ class OverlapReport:
 
 def _false_runs(flags: np.ndarray) -> tuple[tuple[int, int], ...]:
     """Maximal index intervals [i, j] where flags is False."""
-    runs = []
-    start = None
-    for idx, ok in enumerate(flags):
-        if not ok and start is None:
-            start = idx
-        elif ok and start is not None:
-            runs.append((start, idx - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(flags) - 1))
-    return tuple(runs)
+    edges = np.diff(np.concatenate(([0], ~flags, [0])).astype(np.int8))
+    return tuple(zip(np.flatnonzero(edges == 1).tolist(),
+                     (np.flatnonzero(edges == -1) - 1).tolist()))
 
 
 def _sample_covariance(res: ResidualField) -> np.ndarray:
@@ -136,52 +112,41 @@ def _sample_covariance(res: ResidualField) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TubeIngredients:
-    """Shared per-sample pieces of a tube: center, residuals, S and the LKC."""
+    """Per-sample pieces of a tube: residuals, S, the LKC and, given a center, H."""
 
-    center: RotationCurve
     res: ResidualField
     s: np.ndarray
     l1: float
     n: int
+    h: np.ndarray | None = None
+
+    @property
+    def center(self) -> RotationCurve:
+        return self.res.mean
 
 
-def tube_ingredients(sample: CurveSample, center: RotationCurve | None = None,
-                     min_n: int = 4) -> TubeIngredients:
-    """Everything a tube needs except the quantile; raises on singular S."""
-    if sample.size < min_n:
-        raise ValueError(f"need at least {min_n} curves, got {sample.size}")
-    pem = pointwise_extrinsic_mean(sample)
-    res = _residuals_about(sample, pem, center)
+def tube_ingredients(sample: CurveSample,
+                     center: RotationCurve | None = None) -> TubeIngredients:
+    """Everything a tube needs except the quantile; raises on singular S.
+
+    With a center curve the population residuals xbar and the Hotelling
+    statistic H_t = N xbar_t^T S_t^{-1} xbar_t are filled in as well.
+    """
+    if sample.size < MIN_CURVES:
+        raise ValueError(f"need at least {MIN_CURVES} curves, got {sample.size}")
+    res = residuals(sample, center)
     S = _sample_covariance(res)
     _check_spd(S, sample.grid)
-    l1 = gkf.lkc_estimate(res)
-    return TubeIngredients(center=pem, res=res, s=S, l1=l1, n=sample.size)
+    xbar, h = res.population, None
+    if xbar is not None:
+        h = sample.size * np.einsum("ka,ka->k", xbar, np.linalg.solve(S, xbar[..., None])[..., 0])
+        h = np.maximum(h, 0.0)
+    return TubeIngredients(res=res, s=S, l1=gkf.lkc_estimate(res), n=sample.size, h=h)
 
 
 def assemble_tube(ing: TubeIngredients, alpha: float) -> ConfidenceTube:
     h = gkf.solve_quantile(alpha, gkf.EcContext(ing.n, ing.l1))
     return ConfidenceTube(center=ing.center, s=ing.s, hquant=h, alpha=alpha, n=ing.n)
-
-
-def hotelling(sample: CurveSample, center: RotationCurve | None = None) -> HotellingProcess:
-    """Hotelling process of the intrinsic residuals.
-
-    With a center curve the population residuals and the statistic H are
-    filled in; without one the process carries only the covariance, which is
-    all tube construction needs.
-    """
-    if sample.size < 4:
-        raise ValueError(f"need at least 4 curves for an invertible S, got {sample.size}")
-    pem = pointwise_extrinsic_mean(sample)
-    res = _residuals_about(sample, pem, center)
-    S = _sample_covariance(res)
-    _check_spd(S, sample.grid)
-    xbar = res.population
-    h = None
-    if xbar is not None:
-        h = sample.size * np.einsum("ka,ka->k", xbar, np.linalg.solve(S, xbar[..., None])[..., 0])
-        h = np.maximum(h, 0.0)
-    return HotellingProcess(grid=sample.grid, n=sample.size, s=S, xbar=xbar, h=h)
 
 
 def build_tube(sample: CurveSample, alpha: float) -> ConfidenceTube:
@@ -215,6 +180,7 @@ def act_on_tube(tube: ConfidenceTube, act: SpatioTemporalAction,
     k = np.clip(np.searchsorted(t, warped, side="right") - 1, 0, len(t) - 2)
     u = ((warped - t[k]) / (t[k + 1] - t[k]))[:, None, None]
     s_interp = (1.0 - u) * tube.s[k] + u * tube.s[k + 1]
+    # Convex combinations of checked SPD matrices, conjugated by Q, stay SPD above the floor.
     s_acted = np.swapaxes(act.q, -1, -2) @ s_interp @ act.q
     return ConfidenceTube(center=center, s=s_acted, hquant=tube.hquant,
                           alpha=tube.alpha, n=tube.n)

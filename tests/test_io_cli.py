@@ -9,7 +9,8 @@ import rotubes as rt
 from rotubes import io as rio
 from rotubes import so3
 from rotubes.cli import cli_main
-from rotubes.curves import CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid
+from rotubes.curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid,
+                            apply_action_sample)
 from rotubes.errors import NonMonotoneTime, NonRotationRow, ParseError
 from rotubes.tubes import build_tube
 
@@ -92,6 +93,13 @@ class TestIngest:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(NonRotationRow):
             rio.ingest_curve_csv(str(path), 3)
+        # The message names the line of the first bad row.
+        good = ",".join(repr(float(v)) for v in np.eye(3).reshape(-1))
+        bad = ",".join(repr(float(v)) for v in mat.reshape(-1))
+        path.write_text(f"# t,r11,...\n0,{good}\n0.5,{good}\n0.7,{bad}\n1,{bad}\n")
+        with pytest.raises(NonRotationRow) as info:
+            rio.ingest_curve_csv(str(path), 3)
+        assert str(info.value).startswith(f"{path}:4:")
 
     def test_reflection_rejected(self, tmp_path):
         path = tmp_path / "reflect.csv"
@@ -108,6 +116,21 @@ class TestIngest:
         with pytest.raises(ParseError) as info:
             rio.ingest_curve_csv(str(path), 3)
         assert ":4:" in str(info.value) and "field 3" in str(info.value)
+
+    def test_non_finite_matrix_field_located(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        eye = "1,0,0,0,1,0,0,0,1"
+        path.write_text(f"# t,r11,...\n0,{eye}\n0.5,1,0,0,0,nan,0,0,0,1\n1,{eye}\n")
+        with pytest.raises(ParseError) as info:
+            rio.ingest_curve_csv(str(path), 3)
+        assert str(info.value) == f"{path}:3: field 6 is not finite"
+
+    def test_non_finite_euler_field_located(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("t,a,b,c\n0,1,2,3\n0.5,1,2,3\n1,-inf,2,3\n")
+        with pytest.raises(ParseError) as info:
+            rio.ingest_curve_csv(str(path), 3)
+        assert str(info.value) == f"{path}:4: field 2 is not finite"
 
     def test_mixed_widths_rejected(self, tmp_path):
         path = tmp_path / "mixed.csv"
@@ -199,6 +222,24 @@ class TestRecords:
         assert np.array_equal(back.s, tube.s)
         assert back.grid == tube.grid
 
+    def test_bad_tube_records_name_the_file(self, tmp_path):
+        # Impossible fields and a singular covariance are both refused at
+        # the JSON boundary with the file in the message.
+        grid = TimeGrid.uniform(9)
+        sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.05),
+                                        smooth_curve(grid), grid, 5, 8)
+        record = rio.tube_to_dict(build_tube(sample, 0.05))
+        singular = [list(row) for row in record["cov_upper"]]
+        singular[4] = [1.0] * 6                        # rank one at t = 0.5
+        for field, value in (("n", -3), ("n", 3), ("hquant", float("inf")),
+                             ("cov_upper", singular)):
+            path = tmp_path / f"{field}.json"
+            path.write_text(json.dumps(dict(record, **{field: value})))
+            with pytest.raises(ParseError) as info:
+                rio.tube_from_json(str(path))
+            assert str(path) in str(info.value)
+        assert "t = 0.5000" in str(info.value)
+
     def test_action_file_roundtrip(self, tmp_path):
         act = SpatioTemporalAction(
             Rotation.random(rng=np.random.default_rng(1)).as_matrix(),
@@ -252,7 +293,7 @@ class TestManifestAlignment:
     def test_identity_action_keeps_sample(self):
         grid = TimeGrid.uniform(9)
         sample = CurveSample.from_curves([smooth_curve(grid, 0.3, p) for p in range(4)])
-        out = rio.apply_manifest_alignment(sample, SpatioTemporalAction.identity())
+        out = apply_action_sample(sample, SpatioTemporalAction.identity())
         assert np.abs(out.values - sample.values).max() == 0.0
 
     def test_pure_warp_with_grid_knots_keeps_quantile(self):

@@ -1,0 +1,32 @@
+"""The exported surface: every advertised name resolves."""
+
+import ast
+import importlib
+import pkgutil
+
+import pytest
+
+import rotubes
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(rotubes.__path__, "rotubes."))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_package_reexports_are_public_names():
+    # Each name rotubes re-exports is the module's own object and, where the
+    # module declares __all__, listed there.
+    with open(rotubes.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"rotubes.{node.module}")
+        for alias in node.names:
+            assert getattr(rotubes, alias.name) is getattr(module, alias.name)
+            assert alias.name in getattr(module, "__all__", [alias.name]), alias.name

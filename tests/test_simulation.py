@@ -4,7 +4,7 @@ import pytest
 import rotubes as rt
 from rotubes.curves import RotationCurve, TimeGrid
 from rotubes.simulation import (MIXING_MATRICES, _error_paths, modulation,
-                                sample_error_path, sample_generating_path)
+                                sample_generating_path)
 
 
 class TestErrorProcesses:
@@ -109,7 +109,7 @@ class TestGpSampling:
 
     def test_error_path_shape(self):
         grid = TimeGrid.uniform(17)
-        path = sample_error_path(3, 2, grid, np.random.default_rng(1))
+        path = _error_paths(3, 2, grid, np.random.default_rng(1))
         assert path.shape == (17,)
 
 
@@ -126,6 +126,19 @@ class TestCoverageExperiment:
                                         reps=60, alphas=[0.25, 0.10, 0.05],
                                         grid=TimeGrid.uniform(31), seed=4)
         assert report.rates[0] <= report.rates[1] <= report.rates[2]
+
+    def test_seeded_covered_counts_are_pinned(self):
+        # Exact covered counts (of 40 reps, per alpha) of one small cell per
+        # family at a fixed seed; any change to sampling or estimation shows.
+        cells = {(1, 2, 2, 0.1, 5, 51): (34, 36, 37),
+                 (2, 1, 1, 0.2, 8, 51): (38, 38, 39),
+                 (3, 3, 2, 0.1, 10, 101): (33, 36, 38)}
+        for (i, l, j, sigma, n, k), counts in cells.items():
+            report = rt.coverage_experiment(rt.ErrorProcessSpec(i, l, j, sigma), n=n,
+                                            reps=40, alphas=[0.15, 0.10, 0.05],
+                                            grid=TimeGrid.uniform(k), seed=2026)
+            assert tuple(round(40 * r) for r in report.rates) == counts
+            assert report.n_singular == 0
 
     def test_determinism_across_runs(self):
         kwargs = dict(n=6, reps=25, alphas=[0.1], grid=TimeGrid.uniform(21), seed=11)

@@ -9,7 +9,7 @@ from rotubes.curves import (CurveSample, RotationCurve, SpatioTemporalAction, Ti
 from rotubes.errors import GridMismatch, SingularCovariance
 from rotubes.tubes import (ConfidenceTube, OverlapReport, _right_jacobian,
                            _right_jacobian_inv, act_on_tube, build_tube,
-                           compare_tubes, hotelling, tube_contains)
+                           compare_tubes, tube_contains, tube_ingredients)
 
 
 def gp_sample(n=8, k=41, sigma=0.05, seed=0, center=None):
@@ -24,7 +24,7 @@ class TestHotelling:
     def test_center_equal_to_mean_gives_zero_statistic(self):
         sample, _, _ = gp_sample(seed=1)
         pem = rt.pointwise_extrinsic_mean(sample)
-        proc = hotelling(sample, center=pem)
+        proc = tube_ingredients(sample, center=pem)
         assert np.abs(proc.h).max() <= 1e-18
 
     def test_hand_built_matches_direct_solve(self):
@@ -34,7 +34,7 @@ class TestHotelling:
         mats = so3.exp_so3(disp)
         sample = CurveSample(grid, np.broadcast_to(mats[:, None], (4, 2, 3, 3)).copy())
         center = RotationCurve.identity(grid)
-        proc = hotelling(sample, center=center)
+        proc = tube_ingredients(sample, center=center)
         # Direct evaluation from the definition.
         pem = rt.pointwise_extrinsic_mean(sample).values[0]
         x = np.stack([so3.log_so3(pem.T @ R) for R in mats])
@@ -51,7 +51,7 @@ class TestHotelling:
             devs = []
             for rep in range(10):
                 sample, center, paths = gp_sample(n=10, sigma=sigma, seed=(3, rep))
-                proc = hotelling(sample, center=center)
+                proc = tube_ingredients(sample, center=center)
                 abar = paths.mean(axis=0)
                 dev = paths - abar
                 S = np.einsum("nka,nkb->kab", dev, dev) / (paths.shape[0] - 1)
@@ -76,8 +76,8 @@ class TestHotelling:
                                         center, grid_x, 8, 17)
         acted = apply_action_sample(sample, act, out_grid=grid_y)
         acted_center = apply_action(center, act, out_grid=grid_y)
-        h_x = hotelling(sample, center=center).h
-        h_y = hotelling(acted, center=acted_center).h
+        h_x = tube_ingredients(sample, center=center).h
+        h_y = tube_ingredients(acted, center=acted_center).h
         assert np.abs(h_x - h_y).max() <= 1e-9
 
     def test_singular_covariance_reported_with_location(self):
@@ -88,13 +88,13 @@ class TestHotelling:
         disp[:, :, :2] = 0.2 * rng.standard_normal((5, 3, 2))
         sample = CurveSample(grid, so3.exp_so3(disp))
         with pytest.raises(SingularCovariance) as info:
-            hotelling(sample)
+            tube_ingredients(sample)
         assert info.value.index is not None
 
     def test_minimum_sample_size(self):
         sample, _, _ = gp_sample(n=3, seed=7)
         with pytest.raises(ValueError):
-            hotelling(sample)
+            tube_ingredients(sample)
 
 
 class TestBuildTubeAndContains:
@@ -178,6 +178,19 @@ def make_tube(center_values, grid, s, hquant, n):
     return ConfidenceTube(RotationCurve(grid, center_values), s, hquant, 0.05, n)
 
 
+class TestTubeRecordValidation:
+    def test_impossible_records_rejected(self):
+        # n below the estimation minimum or a non-finite quantile describe
+        # no tube; n = -3 would otherwise contain every curve everywhere.
+        grid = TimeGrid.uniform(5)
+        eye = np.broadcast_to(np.eye(3), (5, 3, 3)).copy()
+        s = 0.01 * eye
+        for hquant, n in ((1.0, -3), (1.0, 0), (1.0, 3), (np.inf, 10), (np.nan, 10)):
+            with pytest.raises(ValueError):
+                make_tube(eye, grid, s, hquant, n)
+        assert make_tube(eye, grid, s, 1.0, 4).n == 4
+
+
 class TestCompareTubes:
     def test_identical_tubes_overlap_everywhere(self):
         sample, _, _ = gp_sample(seed=16)
@@ -252,6 +265,8 @@ class TestOverlapReport:
                           False, False])
         report = OverlapReport(grid, flags)
         assert report.loci == ((1, 2), (4, 4), (7, 9))
+        assert OverlapReport(grid, np.ones(10, dtype=bool)).loci == ()
+        assert OverlapReport(grid, np.zeros(10, dtype=bool)).loci == ((0, 9),)
 
     def test_partition_covers_grid_exactly_once(self):
         grid = TimeGrid.uniform(12)
