@@ -5,8 +5,8 @@ from .curves import (CurveSample, ResidualField, RotationCurve, SpatioTemporalAc
                      geodesic_interpolate, length_loss, pointwise_extrinsic_mean,
                      residuals)
 from .errors import (DegenerateMean, GridMismatch, InvalidDof, InvalidRotation,
-                     NonMonotoneBracket, NonMonotoneTime, NonRotationRow, NonSkewInput,
-                     NoRoot, ParseError, RotubesError, SingularCovariance,
+                     NoConvergence, NonMonotoneBracket, NonMonotoneTime, NonRotationRow,
+                     NonSkewInput, NoRoot, ParseError, RotubesError, SingularCovariance,
                      ZeroResidualColumn)
 from .gkf import EcContext, expected_ec, lkc_estimate, solve_quantile, t_ec_density
 from .simulation import (CoverageReport, ErrorProcessSpec, coverage_experiment,

@@ -222,25 +222,23 @@ def residuals(sample: CurveSample, center: RotationCurve | None = None) -> Resid
     return ResidualField(sample.grid, so3.log_so3(rel, validate=False), population, pem)
 
 
-def _interpolate_many(curve: RotationCurve, s: np.ndarray) -> np.ndarray:
-    """Geodesic interpolation of the curve at stacked parameters s in [0, 1]."""
+def _interpolate_many(curve: RotationCurve | CurveSample, s: np.ndarray) -> np.ndarray:
+    """Geodesic interpolation of a curve, or of every curve of a sample, at
+    stacked parameters s in [0, 1]; result shape curve.values.shape[:-3] +
+    s.shape + (3, 3)."""
     s = np.asarray(s, dtype=float)
     if np.any((s < 0.0) | (s > 1.0)):
         raise ValueError("interpolation parameter outside [0, 1]")
     t = curve.grid.t
     k = np.clip(np.searchsorted(t, s, side="right") - 1, 0, len(t) - 2)
     u = (s - t[k]) / (t[k + 1] - t[k])
-    R0 = curve.values[k]
-    R1 = curve.values[k + 1]
+    R0 = curve.values[..., k, :, :]
+    R1 = curve.values[..., k + 1, :, :]
     step = so3.log_so3(np.swapaxes(R0, -1, -2) @ R1, validate=False)
     out = R0 @ so3.exp_so3(u[..., None] * step)
     # Exact values at grid points, including the right endpoint.
-    exact = u == 0.0
-    if np.any(exact):
-        out[exact] = R0[exact]
-    exact_hi = u == 1.0
-    if np.any(exact_hi):
-        out[exact_hi] = R1[exact_hi]
+    out[..., u == 0.0, :, :] = R0[..., u == 0.0, :, :]
+    out[..., u == 1.0, :, :] = R1[..., u == 1.0, :, :]
     return out
 
 
@@ -260,10 +258,10 @@ def apply_action(curve: RotationCurve, act: SpatioTemporalAction,
 
 def apply_action_sample(sample: CurveSample, act: SpatioTemporalAction,
                         out_grid: TimeGrid | None = None) -> CurveSample:
-    """apply_action mapped over every curve of a sample."""
+    """apply_action on every curve of a sample, as one stacked interpolation."""
     grid = sample.grid if out_grid is None else out_grid
-    acted = [apply_action(sample.curve(n), act, grid) for n in range(sample.size)]
-    return CurveSample.from_curves(acted)
+    vals = _interpolate_many(sample, act.warp(grid.t))
+    return CurveSample(grid, act.p @ vals @ act.q)
 
 
 def curve_length(curve: RotationCurve) -> float:

@@ -35,6 +35,10 @@ class NoRoot(RotubesError):
     """Quantile equation has no root on the search interval."""
 
 
+class NoConvergence(RotubesError):
+    """Quantile bisection reached float resolution without meeting the value tolerance."""
+
+
 class NonMonotoneBracket(RotubesError):
     """Expected Euler characteristic is not strictly decreasing on the final bracket."""
 

@@ -18,6 +18,7 @@ see tests/test_acceptance.py for the cross-check that fixed this choice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,8 @@ import numpy as np
 from scipy import special
 
 from .curves import ResidualField
-from .errors import InvalidDof, NonMonotoneBracket, NoRoot, ZeroResidualColumn
+from .errors import (InvalidDof, NoConvergence, NonMonotoneBracket, NoRoot,
+                     ZeroResidualColumn)
 
 __all__ = ["EcContext", "t_ec_density", "lkc_estimate", "expected_ec", "solve_quantile"]
 
@@ -47,6 +49,22 @@ class EcContext:
             raise ValueError(f"L1 must be finite and nonnegative, got {self.l1}")
 
 
+@functools.lru_cache(maxsize=64)
+def _gamma_ratio(n: int) -> float:
+    """Gamma(n / 2) / Gamma((n - 1) / 2)."""
+    return math.exp(special.gammaln(n / 2.0) - special.gammaln((n - 1) / 2.0))
+
+
+def _ec_densities(t: np.ndarray, n: int) -> tuple:
+    """rho_0..rho_3 at t for n - 1 dof, sharing one power of 1 + t^2 / nu."""
+    nu = n - 1
+    base = (1.0 + t * t / nu) ** (1.0 - n / 2.0)
+    return (special.stdtr(nu, -t),
+            base / (2.0 * np.pi),
+            (2.0 * np.pi) ** -1.5 * _gamma_ratio(n) / math.sqrt(nu / 2.0) * t * base,
+            (2.0 * np.pi) ** -2.0 * ((n - 2.0) / nu * t * t - 1.0) * base)
+
+
 def t_ec_density(j: int, t, n: int):
     """Euler characteristic density rho_j of a t-process with n - 1 dof.
 
@@ -57,17 +75,7 @@ def t_ec_density(j: int, t, n: int):
         raise InvalidDof(f"need N >= 3, got N = {n}")
     if j not in (0, 1, 2, 3):
         raise ValueError(f"density order must be 0..3, got {j}")
-    t = np.asarray(t, dtype=float)
-    nu = n - 1
-    if j == 0:
-        return special.stdtr(nu, -t)
-    base = (1.0 + t * t / nu) ** (1.0 - n / 2.0)
-    if j == 1:
-        return base / (2.0 * np.pi)
-    gamma_ratio = math.exp(special.gammaln(n / 2.0) - special.gammaln((n - 1) / 2.0))
-    if j == 2:
-        return (2.0 * np.pi) ** -1.5 * gamma_ratio / math.sqrt(nu / 2.0) * t * base
-    return (2.0 * np.pi) ** -2.0 * ((n - 2.0) / nu * t * t - 1.0) * base
+    return _ec_densities(np.asarray(t, dtype=float), n)[j]
 
 
 def lkc_estimate(res: ResidualField) -> float:
@@ -93,11 +101,8 @@ def expected_ec(h, ctx: EcContext):
 
     Approximates P(max_t H_t > h); equals 1 at h = 0 and decreases to 0.
     """
-    root = np.sqrt(np.asarray(h, dtype=float))
-    value = (2.0 * t_ec_density(0, root, ctx.n)
-             + 4.0 * np.pi * t_ec_density(2, root, ctx.n)
-             + ctx.l1 * (2.0 * t_ec_density(1, root, ctx.n)
-                         + 4.0 * np.pi * t_ec_density(3, root, ctx.n)))
+    rho0, rho1, rho2, rho3 = _ec_densities(np.sqrt(np.asarray(h, dtype=float)), ctx.n)
+    value = 2.0 * rho0 + 4.0 * np.pi * rho2 + ctx.l1 * (2.0 * rho1 + 4.0 * np.pi * rho3)
     return value if value.ndim else float(value)
 
 
@@ -106,8 +111,11 @@ def solve_quantile(alpha: float, ctx: EcContext) -> float:
 
     The lower end of the bracket is pushed past the mode region (largest
     scanned h with value >= 0.5); the upper end doubles from 100 until the
-    value drops below alpha.  On the final bracket the function must be
-    strictly decreasing, otherwise NonMonotoneBracket is raised.
+    value drops below alpha.  Once the bracket is narrower than 1e-8 * h
+    the function must be strictly decreasing on it, otherwise
+    NonMonotoneBracket is raised.  Bisection stops at a bracket 1e-12 wide
+    or of adjacent floats; a midpoint there whose value misses alpha by
+    more than 1e-8 raises NoConvergence.
     """
     if not (0.0 < alpha <= 0.5):
         raise ValueError(f"alpha must be in (0, 0.5], got {alpha}")
@@ -124,24 +132,31 @@ def solve_quantile(alpha: float, ctx: EcContext) -> float:
     while f(hi) >= alpha:
         hi *= 2.0
         if hi > 1e15:
-            raise NoRoot(f"expected_ec never falls below alpha = {alpha}")
+            limit = f"; at 3 dof its limit is 2 L1/pi = {2 * ctx.l1 / math.pi:.6g}"
+            raise NoRoot(f"expected_ec never falls below alpha = {alpha} for N = {ctx.n}, "
+                         f"L1 = {ctx.l1:.6g}" + (limit if ctx.n == 4 else ""))
 
     f_lo, f_hi = f(lo), f(hi)
     checked = False
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         width = hi - lo
-        if width < _VALUE_TOL and not checked:
-            # Strict-decrease guard on the final contracted bracket.
+        if width < _VALUE_TOL * max(1.0, lo) and not checked:
+            # Strict-decrease guard on the contracted bracket, at a width relative
+            # to h so that it spans many floats: across a few, rounding ties and
+            # wiggles in expected_ec would fail it on a decreasing function.
             if not (f_lo > f_mid > f_hi):
                 raise NonMonotoneBracket(
                     f"expected_ec not strictly decreasing on [{lo}, {hi}]")
             checked = True
-        if width < _BRACKET_TOL and abs(f_mid - alpha) <= _VALUE_TOL:
+        adjacent = mid in (lo, hi)      # the bracket cannot contract any further
+        if (width < _BRACKET_TOL or adjacent) and abs(f_mid - alpha) <= _VALUE_TOL:
             return mid
+        if adjacent:
+            raise NoConvergence(f"expected_ec misses alpha = {alpha} by {f_mid - alpha:.3g} "
+                                f"at h = {mid!r}, between adjacent floats")
         if f_mid >= alpha:
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)

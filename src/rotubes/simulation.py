@@ -99,51 +99,68 @@ class CoverageReport:
     seed: int | None = None
 
 
-def _error_paths(i: int, l: int, grid: TimeGrid, rng: np.random.Generator,
+def _error_paths(i: int, l: int, grid: TimeGrid, rng,
                  lead_shape: tuple[int, ...] = ()) -> np.ndarray:
-    """Stacked error paths of family i, modulation l, shape lead_shape + (K,)."""
+    """Stacked error paths of family i, modulation l, shape lead_shape + (K,).
+
+    rng is a Generator drawing all paths in one call (step-major for the OU
+    family), or one Generator per path in C order over lead_shape.  A vector
+    draw yields the same numbers as the equivalent run of scalar draws.
+    """
     t = grid.t
     k = t.size
+    if i not in (1, 2, 3):
+        raise ValueError(f"family must be 1, 2 or 3, got {i}")
+    width = (2, 10, k)[i - 1]
+    if isinstance(rng, np.random.Generator):
+        if i == 3:
+            z = np.moveaxis(rng.standard_normal((k,) + lead_shape), 0, -1)
+        else:
+            z = rng.standard_normal(lead_shape + (width,))
+        rows = z
+    else:
+        z = np.array([g.standard_normal(width) for g in rng]).reshape(lead_shape + (width,))
+        # One vector-matrix product per path, so that a path does not depend on
+        # how many are stacked with it: a stacked product rounds differently.
+        rows = z[..., None, :]
     if i == 1:
-        b = rng.standard_normal(lead_shape + (2,))
         basis = np.stack([np.sin(0.5 * np.pi * t), np.cos(0.5 * np.pi * t)])
-        raw = b @ basis
+        raw = (rows @ basis).reshape(lead_shape + (k,))
     elif i == 2:
-        b = rng.standard_normal(lead_shape + (10,))
         bumps = np.exp(-((t[:, None] - _BUMP_CENTERS[None, :]) ** 2) / _BUMP_WIDTH)
         scale = np.sqrt(np.sum(bumps * bumps, axis=1))
-        raw = (b @ bumps.T) / scale
-    elif i == 3:
-        # Exact AR(1) transition of the stationary OU process; unit variance.
-        raw = np.empty(lead_shape + (k,))
-        raw[..., 0] = rng.standard_normal(lead_shape)
-        decay = np.exp(-_OU_RATE * np.diff(t))
-        innov_sd = np.sqrt(1.0 - decay ** 2)
-        for step in range(k - 1):
-            z = rng.standard_normal(lead_shape)
-            raw[..., step + 1] = decay[step] * raw[..., step] + innov_sd[step] * z
+        raw = (rows @ bumps.T).reshape(lead_shape + (k,)) / scale
     else:
-        raise ValueError(f"family must be 1, 2 or 3, got {i}")
+        # Exact AR(1) transition of the stationary OU process; unit variance.
+        decay = np.exp(-_OU_RATE * np.diff(t))
+        innov = np.moveaxis(np.sqrt(1.0 - decay ** 2) * z[..., 1:], -1, 0)
+        walk = np.empty((k,) + z.shape[:-1])
+        walk[0] = z[..., 0]
+        for step in range(k - 1):
+            walk[step + 1] = decay[step] * walk[step] + innov[step]
+        raw = np.moveaxis(walk, 0, -1)
     return raw * modulation(l, t)
 
 
-def _coordinate_rngs(rng) -> list[np.random.Generator]:
-    """Three per-coordinate generators from a Generator or SeedSequence."""
-    if isinstance(rng, np.random.SeedSequence):
-        return [np.random.default_rng(child) for child in rng.spawn(3)]
-    return [rng, rng, rng]
+def _generating_paths(spec: ErrorProcessSpec, grid: TimeGrid, streams) -> np.ndarray:
+    """Paths a_t, shape (N, K, 3): curve m mixes the sigma-scaled error paths
+    drawn from streams[3m:3m + 3], one per coordinate."""
+    eps = _error_paths(spec.i, spec.l, grid, streams, (len(streams) // 3, 3))
+    return np.swapaxes(MIXING_MATRICES[spec.j] @ (spec.sigma * eps), -1, -2)
 
 
 def sample_generating_path(spec: ErrorProcessSpec, grid: TimeGrid, rng) -> np.ndarray:
     """Algebra-valued generating path a_t, shape (K, 3).
 
-    Three independent error paths are drawn (one per coordinate, from
-    per-coordinate substreams when rng is a SeedSequence), scaled by sigma
-    and mixed.
+    Three independent error paths are drawn, one per coordinate: from
+    per-coordinate substreams when rng is a SeedSequence, otherwise one
+    after another from the Generator.  They are scaled by sigma and mixed.
     """
-    streams = _coordinate_rngs(rng)
-    eps = np.stack([_error_paths(spec.i, spec.l, grid, streams[d]) for d in range(3)])
-    return (MIXING_MATRICES[spec.j] @ (spec.sigma * eps)).T
+    if isinstance(rng, np.random.SeedSequence):
+        streams = [np.random.default_rng(child) for child in rng.spawn(3)]
+    else:
+        streams = [rng] * 3
+    return _generating_paths(spec, grid, streams)[0]
 
 
 def sample_gp_curve(spec: ErrorProcessSpec, center: RotationCurve, grid: TimeGrid,
@@ -161,10 +178,9 @@ def sample_gp_sample(spec: ErrorProcessSpec, center: RotationCurve, grid: TimeGr
     keyed (seed..., n).
     """
     key = (seed,) if isinstance(seed, int) else tuple(seed)
-    paths = np.stack([
-        sample_generating_path(spec, grid, np.random.SeedSequence(key + (n_,)))
-        for n_ in range(n)
-    ])
+    paths = _generating_paths(spec, grid, [
+        np.random.default_rng(child)
+        for m in range(n) for child in np.random.SeedSequence(key + (m,)).spawn(3)])
     values = center.values @ so3.exp_so3(paths)
     return CurveSample(grid, values), paths
 

@@ -5,8 +5,9 @@ import pytest
 from scipy import integrate
 
 import rotubes as rt
+from rotubes import gkf
 from rotubes.curves import ResidualField, TimeGrid
-from rotubes.errors import InvalidDof, ZeroResidualColumn
+from rotubes.errors import InvalidDof, NoConvergence, NoRoot, ZeroResidualColumn
 from rotubes.gkf import EcContext, expected_ec, lkc_estimate, solve_quantile, t_ec_density
 from rotubes.simulation import _error_paths
 
@@ -102,6 +103,18 @@ class TestExpectedEc:
         vals = np.array([expected_ec(h, ctx) for h in hs])
         assert np.all(np.diff(vals) < 0.0)
 
+    @pytest.mark.parametrize("n", [4, 5, 10, 31])
+    def test_is_the_density_combination_exactly(self, n):
+        # One formula: expected_ec is 2 rho0 + 4 pi rho2 + L1 (2 rho1 + 4 pi rho3)
+        # of the public densities, to the last bit.
+        ctx = EcContext(n, 1.7)
+        for h in np.concatenate([[0.0], np.geomspace(1e-3, 1e7, 49)]):
+            root = np.sqrt(h)
+            combination = (2.0 * t_ec_density(0, root, n) + 4.0 * np.pi * t_ec_density(2, root, n)
+                           + ctx.l1 * (2.0 * t_ec_density(1, root, n)
+                                       + 4.0 * np.pi * t_ec_density(3, root, n)))
+            assert expected_ec(h, ctx) == combination, h
+
 
 class TestSolveQuantile:
     def test_residual_equation_value(self):
@@ -136,6 +149,42 @@ class TestSolveQuantile:
         ctx = EcContext(6, 3.0)
         h = solve_quantile(0.05, ctx)
         assert abs(expected_ec(h, ctx) - 0.05) <= 1e-8
+
+    @pytest.mark.parametrize("n, pinned", [(5, None), (6, "0x1.8dae12064a0acp+13")])
+    def test_large_root_stops_at_float_resolution(self, n, pinned, monkeypatch):
+        # Roots beyond ~8e3 are more than 1e-12 from their float neighbours.
+        # Bisection stops on adjacent floats: n = 5 used to raise a spurious
+        # NonMonotoneBracket there, n = 6 to run out 200 unchecked iterations
+        # (its root is pinned to the value it returned then).
+        ctx = EcContext(n, 100.0)
+        evals = []
+
+        def counted(h, c):
+            evals.append(h)
+            return expected_ec(h, c)
+
+        monkeypatch.setattr(gkf, "expected_ec", counted)
+        h = solve_quantile(0.05, ctx)
+        assert h > 1e4
+        assert abs(expected_ec(h, ctx) - 0.05) <= 1e-8
+        assert len(evals) < 200
+        if pinned is not None:
+            assert h == float.fromhex(pinned)
+
+    def test_jump_across_alpha_raises_no_convergence(self, monkeypatch):
+        # Strictly decreasing, but it jumps from above to below alpha at h = 5,
+        # so no h meets the value tolerance: a typed error, not a midpoint.
+        def jump(h, ctx):
+            return 0.3 * math.exp(-h / 1e4) + (0.4 if h < 5.0 else 0.0)
+
+        monkeypatch.setattr(gkf, "expected_ec", jump)
+        with pytest.raises(NoConvergence):
+            solve_quantile(0.5, EcContext(10, 1.0))
+
+    def test_no_root_at_three_dof_names_the_limit(self):
+        # With N = 4, expected_ec tends to 2 L1/pi = 1.27 > alpha as h grows.
+        with pytest.raises(NoRoot, match=r"N = 4, L1 = 2;.*2 L1/pi = 1\.27324"):
+            solve_quantile(0.05, EcContext(4, 2.0))
 
 
 class TestGkfAgainstMonteCarlo:

@@ -296,6 +296,20 @@ class TestManifestAlignment:
         out = apply_action_sample(sample, SpatioTemporalAction.identity())
         assert np.abs(out.values - sample.values).max() == 0.0
 
+    def test_sample_action_equals_per_curve_action(self):
+        # The stacked interpolation reproduces apply_action curve by curve, bit
+        # for bit, also where warped points fall on grid points (t = 0, 0.5, 1).
+        grid_x = TimeGrid.uniform(21)
+        grid_y = TimeGrid.uniform(41)
+        sample = CurveSample.from_curves([smooth_curve(grid_x, 0.3, p) for p in range(5)])
+        act = SpatioTemporalAction(so3.exp_so3([0.1, -0.2, 0.05]), so3.exp_so3([0.0, 0.3, 0.1]),
+                                   np.array([[0.0, 0.0], [0.4, 0.5], [1.0, 1.0]]))
+        acted = apply_action_sample(sample, act, out_grid=grid_y)
+        assert acted.grid == grid_y
+        for n in range(sample.size):
+            expected = rt.apply_action(sample.curve(n), act, out_grid=grid_y).values
+            assert np.array_equal(acted.values[n], expected)
+
     def test_pure_warp_with_grid_knots_keeps_quantile(self):
         # Equivariance: the quantile of the rebuilt tube is unchanged.
         grid_y = TimeGrid.uniform(26)

@@ -112,6 +112,47 @@ class TestGpSampling:
         path = _error_paths(3, 2, grid, np.random.default_rng(1))
         assert path.shape == (17,)
 
+    @pytest.mark.parametrize("family", [1, 2, 3])
+    @pytest.mark.parametrize("grid", [TimeGrid.uniform(31),
+                                      TimeGrid(np.linspace(0.0, 1.0, 41) ** 1.5)],
+                             ids=["uniform", "nonuniform"])
+    def test_sample_curve_is_its_keyed_generating_path(self, family, grid):
+        # Curve m of a sample is the generating path of substream (key..., m),
+        # whatever the sample size.
+        spec = rt.ErrorProcessSpec(family, 3, 2, 0.1)
+        center = RotationCurve.identity(grid)
+        key = (31, family)
+        small, small_paths = rt.sample_gp_sample(spec, center, grid, 4, key)
+        large, large_paths = rt.sample_gp_sample(spec, center, grid, 9, key)
+        for m in range(4):
+            alone = sample_generating_path(spec, grid, np.random.SeedSequence(key + (m,)))
+            assert np.array_equal(small_paths[m], alone)
+        assert np.array_equal(large_paths[:4], small_paths)
+        assert np.array_equal(large.values[:4], small.values)
+
+    def test_paths_are_pinned_bitwise(self):
+        # float.hex of path entries (curve, grid index, coordinate) of
+        # sample_gp_sample(A(i, 3, 2, 0.1), n=4, seed=(2026, 7)) per family.
+        pins = {
+            "uniform": (TimeGrid.uniform(101), ((0, 0, 0), (1, 37, 1), (3, 100, 2)), {
+                1: ("-0x1.5b68d8e4e8973p-4", "0x1.43562ec1bfd04p-5", "-0x1.2cf89932737bap-5"),
+                2: ("-0x1.57317b3f89533p-3", "-0x1.650cc9f7dbe05p-7", "-0x1.496d2e5fd5de7p-9"),
+                3: ("-0x1.204a80ff67f9bp-3", "0x1.47e936cc1cfedp-8", "-0x1.089ab956deeccp-3"),
+            }),
+            "nonuniform": (TimeGrid(np.linspace(0.0, 1.0, 41) ** 1.5),
+                           ((0, 0, 0), (1, 17, 1), (3, 40, 2)), {
+                1: ("-0x1.5b68d8e4e8973p-4", "0x1.934969fe19160p-4", "-0x1.2cf89932737bap-5"),
+                2: ("-0x1.57317b3f89533p-3", "-0x1.b1afc185a430cp-7", "-0x1.496d2e5fd5de7p-9"),
+                3: ("-0x1.204a80ff67f9bp-3", "-0x1.5d3c57e85c644p-3", "0x1.76118c993512ap-6"),
+            }),
+        }
+        for grid, entries, by_family in pins.values():
+            for family, expected in by_family.items():
+                _, paths = rt.sample_gp_sample(rt.ErrorProcessSpec(family, 3, 2, 0.1),
+                                               RotationCurve.identity(grid), grid, 4, (2026, 7))
+                got = tuple(float(paths[idx]).hex() for idx in entries)
+                assert got == expected, (family, len(grid))
+
 
 class TestCoverageExperiment:
     def test_single_replication_smoke(self):
