@@ -123,20 +123,21 @@ def solve_quantile(alpha: float, ctx: EcContext) -> float:
     def f(h: float) -> float:
         return expected_ec(h, ctx)
 
-    lo = 0.0
+    lo, f_lo = 0.0, None
     h = 1.0
-    while h <= 100.0 and f(h) >= 0.5:
-        lo = h
+    while h <= 100.0 and (f_h := f(h)) >= 0.5:
+        lo, f_lo = h, f_h
         h *= 2.0
+    if f_lo is None:
+        f_lo = f(lo)
     hi = 100.0
-    while f(hi) >= alpha:
+    while (f_hi := f(hi)) >= alpha:
         hi *= 2.0
         if hi > 1e15:
             limit = f"; at 3 dof its limit is 2 L1/pi = {2 * ctx.l1 / math.pi:.6g}"
             raise NoRoot(f"expected_ec never falls below alpha = {alpha} for N = {ctx.n}, "
                          f"L1 = {ctx.l1:.6g}" + (limit if ctx.n == 4 else ""))
 
-    f_lo, f_hi = f(lo), f(hi)
     checked = False
     while True:
         mid = 0.5 * (lo + hi)

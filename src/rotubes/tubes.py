@@ -68,8 +68,8 @@ class ConfidenceTube:
         object.__setattr__(self, "s", S)
         if not self.n >= MIN_CURVES:
             raise ValueError(f"n must be at least {MIN_CURVES}, got {self.n}")
-        if not (self.hquant >= 0.0 and math.isfinite(self.hquant)):
-            raise ValueError(f"quantile must be finite and nonnegative, got {self.hquant}")
+        if not (self.hquant > 0.0 and math.isfinite(self.hquant)):
+            raise ValueError(f"quantile must be finite and positive, got {self.hquant}")
         if not (0.0 < self.alpha <= 0.5):
             raise ValueError(f"alpha must be in (0, 0.5], got {self.alpha}")
 
@@ -213,72 +213,35 @@ def _right_jacobian_inv(u: np.ndarray) -> np.ndarray:
     return np.eye(3) + 0.5 * U + c * U2
 
 
-class _EllipsoidProjector:
-    """Euclidean projection onto {u : u^T A u <= 1} for symmetric PD A."""
+def _min_mahalanobis_to_other(D: np.ndarray, L: np.ndarray, B: np.ndarray,
+                              h_b: float, w_center: np.ndarray) -> float:
+    """min over the unit ball |w| <= 1 of m(w)^T B m(w), m(w) = log(D exp(L w)).
 
-    def __init__(self, A: np.ndarray):
-        self.A = A
-        self.eigval, self.eigvec = np.linalg.eigh(A)
-
-    def __call__(self, p: np.ndarray) -> np.ndarray:
-        if p @ self.A @ p <= 1.0:
-            return p
-        w = self.eigvec.T @ p
-        d = self.eigval
-
-        def constraint(lam: float) -> float:
-            r = w / (1.0 + lam * d)
-            return float(np.sum(d * r * r)) - 1.0
-
-        lo, hi = 0.0, 1.0
-        while constraint(hi) > 0.0:
-            hi *= 2.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if constraint(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        lam = 0.5 * (lo + hi)
-        return self.eigvec @ (w / (1.0 + lam * d))
-
-
-def _min_mahalanobis_to_other(D: np.ndarray, A: np.ndarray, B: np.ndarray,
-                              h_b: float) -> float:
-    """min over {u^T A u <= 1} of m(u)^T B m(u), m(u) = log(D exp(u)).
-
-    Projected gradient descent with backtracking from the ellipsoid center
-    and from the boundary point toward the other tube's center; exits early
-    once the running minimum clears the overlap threshold h_b.
+    u = L w maps the ball onto tube a's ellipsoid, so projecting onto it is a
+    rescaling.  Projected gradient descent with backtracking from the center
+    and from the boundary point toward the other tube's center (w_center);
+    exits early once the running minimum clears the overlap threshold h_b.
     """
-    project = _EllipsoidProjector(A)
-
-    def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
-        m = so3.log_so3(D @ so3.exp_so3(u), validate=False)
+    def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
+        m = so3.log_so3(D @ so3.exp_so3(L @ w), validate=False)
         return float(m @ B @ m), m
 
-    u_center = -so3.log_so3(D, validate=False)      # exp(u) = D^T: other center
-    if u_center @ A @ u_center <= 1.0:
-        return 0.0
-    starts = [np.zeros(3),
-              u_center / np.sqrt(u_center @ A @ u_center)]
-
     best = np.inf
-    for u0 in starts:
-        u = project(u0)
-        g, m = objective(u)
+    for w in (np.zeros(3), w_center / np.linalg.norm(w_center)):
+        g, m = objective(w)
         best = min(best, g)
         if best <= h_b:
             return best
-        step = 1.0 / max(np.abs(B).max(), 1.0)
+        step = 1.0 / max(np.abs(L.T @ B @ L).max(), 1.0)
         for _ in range(_PGD_ITERATIONS):
-            grad = 2.0 * (_right_jacobian_inv(m) @ _right_jacobian(u)).T @ (B @ m)
+            grad = 2.0 * (_right_jacobian_inv(m) @ _right_jacobian(L @ w) @ L).T @ (B @ m)
             moved = False
             while step > 1e-16:
-                cand = project(u - step * grad)
+                cand = w - step * grad
+                cand /= max(1.0, np.linalg.norm(cand))
                 g_cand, m_cand = objective(cand)
                 if g_cand < g - 1e-15 * (1.0 + abs(g)):
-                    u, g, m = cand, g_cand, m_cand
+                    w, g, m = cand, g_cand, m_cand
                     step *= 1.5
                     moved = True
                     break
@@ -295,21 +258,23 @@ def compare_tubes(a: ConfidenceTube, b: ConfidenceTube) -> OverlapReport:
     """Pointwise intersection test of two tubes on a shared grid.
 
     At each t, tube a's cross-section is an ellipsoid in the algebra at its
-    center; tube b's cross-section is pulled back through the exact group
-    logarithm (no linearization) and the minimum of b's Mahalanobis form over
-    a's ellipsoid decides the overlap.  Non-overlap is declared only when
-    that minimum exceeds b's threshold by a relative margin of 1e-6.
+    center, written as the image u = L w of the unit ball with
+    L = sqrt(h_a / n_a) chol(S_a); tube b's cross-section is pulled back
+    through the exact group logarithm (no linearization) and the minimum of
+    b's Mahalanobis form over a's ellipsoid decides the overlap.  Points
+    where a's ellipsoid holds b's center, or a's center lies in b's tube,
+    overlap without a search.  Non-overlap is declared only when the minimum
+    exceeds b's threshold by a relative margin of 1e-6.
     """
     if a.grid != b.grid:
         raise GridMismatch("tubes must share the time grid")
-    k_count = len(a.grid)
-    overlap = np.empty(k_count, dtype=bool)
-    inv_sa = np.linalg.inv(a.s)
-    inv_sb = np.linalg.inv(b.s)
-    for k in range(k_count):
-        D = b.center.values[k].T @ a.center.values[k]
-        A = (a.n / a.hquant) * inv_sa[k]
-        B = b.n * inv_sb[k]
-        q_min = _min_mahalanobis_to_other(D, A, B, b.hquant)
-        overlap[k] = q_min <= b.hquant * (1.0 + _OVERLAP_MARGIN)
-    return OverlapReport(grid=a.grid, overlap=overlap)
+    D = np.swapaxes(b.center.values, -1, -2) @ a.center.values
+    L = math.sqrt(a.hquant / a.n) * np.linalg.cholesky(a.s)
+    B = b.n * np.linalg.inv(b.s)
+    m0 = so3.log_so3(D, validate=False)                 # exp(-m0) = D^T: b's center
+    w_center = np.linalg.solve(L, -m0[..., None])[..., 0]
+    q = np.where(np.linalg.norm(w_center, axis=-1) <= 1.0, 0.0,
+                 np.einsum("ka,kab,kb->k", m0, B, m0))
+    for k in np.flatnonzero(q > b.hquant):
+        q[k] = _min_mahalanobis_to_other(D[k], L[k], B[k], b.hquant, w_center[k])
+    return OverlapReport(grid=a.grid, overlap=q <= b.hquant * (1.0 + _OVERLAP_MARGIN))

@@ -232,7 +232,7 @@ class TestRecords:
         singular = [list(row) for row in record["cov_upper"]]
         singular[4] = [1.0] * 6                        # rank one at t = 0.5
         for field, value in (("n", -3), ("n", 3), ("hquant", float("inf")),
-                             ("cov_upper", singular)):
+                             ("hquant", 0.0), ("cov_upper", singular)):
             path = tmp_path / f"{field}.json"
             path.write_text(json.dumps(dict(record, **{field: value})))
             with pytest.raises(ParseError) as info:

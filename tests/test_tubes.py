@@ -251,6 +251,50 @@ class TestCompareTubes:
                                    make_tube(displaced, grid, s, h_b, n_b))
             assert report.overlap.all() == (gap_sign < 0)
 
+    def test_wide_and_near_pi_fixtures(self):
+        # Beyond criterion 9: separations up to 1.2 rad, cross-section scales
+        # up to 0.3 and, in every third fixture, displacements within 1e-2 of
+        # pi.  The flags (1 = overlap) are pinned; a declared non-overlap must
+        # also survive a sampled search of a's ellipsoid for a point in b.
+        grid = TimeGrid.uniform(7)
+        flags = []
+        for fixture in range(60):
+            rng = np.random.default_rng((29, fixture))
+            base = so3.exp_so3(np.stack([0.5 * np.sin(2 * np.pi * grid.t + fixture),
+                                         0.3 * grid.t, 0.2 * np.cos(3 * grid.t)], -1))
+            axis = rng.standard_normal((7, 3))
+            axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+            sep = (np.pi - rng.uniform(0.0, 1e-2, 7) if fixture % 3 == 2
+                   else rng.uniform(0.0, 1.2, 7))
+            tubes = []
+            for center in (base, base @ so3.exp_so3(sep[:, None] * axis)):
+                scale = rng.uniform(0.02, 0.3)
+                s = np.stack([_random_spd(rng, scale) for _ in range(7)])
+                tubes.append(make_tube(center, grid, s, rng.uniform(8.0, 25.0),
+                                       int(rng.integers(6, 15))))
+            a, b = tubes
+            ab, ba = compare_tubes(a, b), compare_tubes(b, a)
+            assert np.array_equal(ab.overlap, ba.overlap), fixture
+            flags.append("".join("1" if f else "0" for f in ab.overlap))
+            for k in np.flatnonzero(~ab.overlap):
+                z = rng.uniform(-1.0, 1.0, (10000, 3))
+                z = z[np.einsum("ij,ij->i", z, z) <= 1.0]
+                u = z @ (np.sqrt(a.hquant / a.n) * np.linalg.cholesky(a.s[k])).T
+                m = so3.log_so3(b.center.values[k].T @ a.center.values[k] @ so3.exp_so3(u),
+                                validate=False)
+                q = b.n * np.einsum("ij,ij->i", m, np.linalg.solve(b.s[k], m.T).T)
+                assert q.min() > b.hquant, (fixture, k)
+        assert flags == [
+            "0000000", "0001100", "0000000", "0000010", "0110111", "0000000", "0100001",
+            "0010000", "0000000", "0000010", "0000000", "0000000", "1000000", "1000000",
+            "0000000", "0001010", "0000001", "0000000", "0000101", "0000011", "0000000",
+            "0000011", "0001000", "0000000", "0100000", "0001000", "0000000", "0000000",
+            "0100000", "0000000", "1100000", "0100000", "0000000", "0010000", "0010001",
+            "0000000", "0000000", "0000000", "0000000", "0000000", "1000000", "0000000",
+            "0001101", "0000000", "0000000", "0000000", "1101000", "0000000", "1000000",
+            "0000000", "0000000", "0000110", "0001010", "0000000", "1000001", "1011010",
+            "0000000", "0000100", "0000000", "0000000"]
+
 
 def _random_spd(rng, scale):
     B = rng.standard_normal((3, 3))
