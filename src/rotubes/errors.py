@@ -36,7 +36,7 @@ class NoRoot(RotubesError):
 
 
 class NoConvergence(RotubesError):
-    """Quantile bisection reached float resolution without meeting the value tolerance."""
+    """An iterative solver (quantile bisection, overlap search) stopped unconverged."""
 
 
 class NonMonotoneBracket(RotubesError):

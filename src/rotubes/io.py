@@ -19,7 +19,8 @@ from scipy.spatial.transform import Rotation
 
 from . import so3
 from .curves import RotationCurve, SpatioTemporalAction, TimeGrid, _interpolate_many
-from .errors import NonMonotoneTime, NonRotationRow, ParseError, SingularCovariance
+from .errors import (InvalidRotation, NonMonotoneTime, NonRotationRow, ParseError,
+                     SingularCovariance)
 from .simulation import CoverageReport
 from .tubes import ConfidenceTube, OverlapReport, _check_spd
 
@@ -80,7 +81,7 @@ class DatasetManifest:
             }
             return cls(sessions=sessions, grid_size=int(data["grid_size"]),
                        euler_convention=convention)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: bad manifest field ({exc})") from exc
 
 
@@ -223,7 +224,7 @@ def action_from_json(path: str) -> SpatioTemporalAction:
         q = np.array(_require(data, "q", path), dtype=float).reshape(3, 3)
         warp = np.array(data.get("warp", [[0.0, 0.0], [1.0, 1.0]]), dtype=float)
         return SpatioTemporalAction(p, q, warp)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, InvalidRotation) as exc:
         raise ParseError(f"{path}: bad alignment record ({exc})") from exc
 
 
@@ -265,7 +266,7 @@ def tube_from_dict(data: dict, path: str = "<tube>") -> ConfidenceTube:
                               hquant=float(_require(data, "hquant", path)),
                               alpha=float(_require(data, "alpha", path)),
                               n=int(_require(data, "n", path)))
-    except (ValueError, TypeError, IndexError, SingularCovariance) as exc:
+    except (ValueError, TypeError, IndexError, InvalidRotation, SingularCovariance) as exc:
         raise ParseError(f"{path}: bad tube record ({exc})") from exc
 
 

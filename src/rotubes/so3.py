@@ -38,16 +38,16 @@ def hat(a: np.ndarray) -> np.ndarray:
     return A
 
 
-def vee(A: np.ndarray, tol: float = SKEW_TOL) -> np.ndarray:
+def vee(A: np.ndarray) -> np.ndarray:
     """Inverse of hat; extracts the vector of the skew part (A - A^T)/2.
 
-    Raises NonSkewInput if the symmetry violation max|A + A^T| exceeds tol.
+    Raises NonSkewInput if the symmetry violation max|A + A^T| exceeds SKEW_TOL.
     """
     A = np.asarray(A, dtype=float)
     _check_shape_33(A)
     violation = np.abs(A + np.swapaxes(A, -1, -2)).max()
-    if violation > tol:
-        raise NonSkewInput(f"skew symmetry violated by {violation:.3e} (tol {tol:.1e})")
+    if violation > SKEW_TOL:
+        raise NonSkewInput(f"skew symmetry violated by {violation:.3e} (tol {SKEW_TOL:.1e})")
     return _vee_raw(0.5 * (A - np.swapaxes(A, -1, -2)))
 
 
@@ -93,12 +93,12 @@ def is_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
     return (gram_err <= tol) & (det_err <= tol)
 
 
-def check_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> None:
+def check_rotation(R: np.ndarray) -> None:
     """Raise InvalidRotation unless every stacked matrix passes is_rotation."""
-    ok = is_rotation(R, tol)
+    ok = is_rotation(R)
     if not np.all(ok):
-        n_bad = int(np.size(ok) - np.count_nonzero(ok))
-        raise InvalidRotation(f"{n_bad} matrix(es) violate rotation invariants (tol {tol:.1e})")
+        raise InvalidRotation(f"{np.size(ok) - np.count_nonzero(ok)} matrix(es) violate "
+                              f"rotation invariants (tol {ROTATION_TOL:.1e})")
 
 
 def log_so3(R: np.ndarray, validate: bool = True) -> np.ndarray:
@@ -175,18 +175,18 @@ def frob_norm_rescaled(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(A * A, axis=(-1, -2)) / 2.0)
 
 
-def project_to_so3(M: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
+def project_to_so3(M: np.ndarray) -> np.ndarray:
     """Rotation nearest to M in Frobenius norm, via SVD with sign correction.
 
     Raises DegenerateMean when the projection is non-unique, i.e. the two
-    smallest singular values coincide within tol while det(U V^T) < 0.
+    smallest singular values coincide within ROTATION_TOL while det(U V^T) < 0.
     """
     M = np.asarray(M, dtype=float)
     _check_shape_33(M)
     U, sv, Vt = np.linalg.svd(M)
     d = np.linalg.det(U @ Vt)
     gap = sv[..., 1] - sv[..., 2]
-    bad = (d < 0.0) & (gap <= tol)
+    bad = (d < 0.0) & (gap <= ROTATION_TOL)
     if np.any(bad):
         raise DegenerateMean(
             f"{int(np.count_nonzero(bad))} matrix(es) have a non-unique nearest rotation")

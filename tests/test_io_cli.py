@@ -231,8 +231,10 @@ class TestRecords:
         record = rio.tube_to_dict(build_tube(sample, 0.05))
         singular = [list(row) for row in record["cov_upper"]]
         singular[4] = [1.0] * 6                        # rank one at t = 0.5
+        scaled = [list(row) for row in record["center"]]
+        scaled[2] = [2.0 * v for v in scaled[2]]       # not a rotation
         for field, value in (("n", -3), ("n", 3), ("hquant", float("inf")),
-                             ("hquant", 0.0), ("cov_upper", singular)):
+                             ("hquant", 0.0), ("center", scaled), ("cov_upper", singular)):
             path = tmp_path / f"{field}.json"
             path.write_text(json.dumps(dict(record, **{field: value})))
             with pytest.raises(ParseError) as info:
@@ -260,6 +262,27 @@ class TestRecords:
         path.write_text("not json")
         with pytest.raises(ParseError):
             rio.action_from_json(str(path))
+
+    def test_bad_alignment_rotations_name_the_file(self, tmp_path):
+        record = rio.action_to_dict(SpatioTemporalAction.identity())
+        reflection = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0]
+        for field in ("p", "q"):
+            path = tmp_path / f"{field}.json"
+            path.write_text(json.dumps(dict(record, **{field: reflection})))
+            with pytest.raises(ParseError, match="bad alignment record") as info:
+                rio.action_from_json(str(path))
+            assert str(path) in str(info.value)
+
+    def test_manifest_that_is_not_an_object_names_the_file(self, tmp_path):
+        for name, data in (("sessions", {"sessions": [], "grid_size": 5}),
+                           ("top", [{"sessions": {"A": ["a.csv"]}, "grid_size": 5}]),
+                           ("convention", {"sessions": {"A": ["a.csv"]}, "grid_size": 5,
+                                           "euler_convention": ["zxy"]})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            with pytest.raises(ParseError) as info:
+                rio.DatasetManifest.from_json(str(path))
+            assert str(path) in str(info.value)
 
     def test_manifest_roundtrip(self, tmp_path):
         manifest_path = tmp_path / "manifest.json"

@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.spatial.transform import Rotation
 
 import rotubes as rt
 from rotubes import so3
 from rotubes.curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid,
                             apply_action, apply_action_sample)
-from rotubes.errors import GridMismatch, SingularCovariance
+from rotubes.errors import GridMismatch, NoConvergence, SingularCovariance
 from rotubes.tubes import (ConfidenceTube, OverlapReport, _right_jacobian,
                            _right_jacobian_inv, act_on_tube, build_tube,
                            compare_tubes, tube_contains, tube_ingredients)
@@ -250,6 +253,53 @@ class TestCompareTubes:
             report = compare_tubes(make_tube(eye, grid, s, h_a, n_a),
                                    make_tube(displaced, grid, s, h_b, n_b))
             assert report.overlap.all() == (gap_sign < 0)
+
+    def test_coincident_centers_raise_no_warning(self):
+        grid = TimeGrid.uniform(5)
+        center = so3.exp_so3(np.stack([0.3 * grid.t, 0.1 * np.sin(grid.t), 0.2 * grid.t], -1))
+        rng = np.random.default_rng(31)
+        tube_a, tube_b = (make_tube(center, grid, np.stack([_random_spd(rng, scale)
+                                                            for _ in range(5)]), 12.0, 8)
+                          for scale in (0.05, 0.2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert compare_tubes(tube_a, tube_b).overlap.all()
+            assert compare_tubes(tube_b, tube_a).overlap.all()
+
+    @staticmethod
+    def _flat_against_round():
+        # a: semi-axes 0.05 along the separation, 0.2 across; b: a ball of
+        # radius 0.2 centered 0.3 away.  The bounding radii (0.2 + 0.2)
+        # exceed the separation and a's tip toward b lies outside b, so no
+        # certificate settles the point and the search must.
+        grid = TimeGrid.uniform(2)
+        eye = np.broadcast_to(np.eye(3), (2, 3, 3)).copy()
+        s_a = np.broadcast_to(np.diag([0.05 ** 2, 0.2 ** 2, 0.2 ** 2]), (2, 3, 3)).copy()
+        displaced = eye @ so3.exp_so3([0.3, 0.0, 0.0])
+        return (make_tube(eye, grid, s_a, 10.0, 10),
+                make_tube(displaced, grid, 0.04 * eye, 10.0, 10))
+
+    def test_search_decides_uncertified_points(self, monkeypatch):
+        results = []
+        minimize = scipy.optimize.minimize
+
+        def recorded(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(scipy.optimize, "minimize", recorded)
+        report = compare_tubes(*self._flat_against_round())
+        assert not report.overlap.any()
+        assert len(results) == 4 and all(res.success for res in results)   # 2 points x 2 starts
+
+    def test_failed_search_raises_no_convergence(self, monkeypatch):
+        # A search that stops unconverged above the threshold must not be
+        # reported as a non-overlap.
+        def stalled(fun, x0, **kwargs):
+            return scipy.optimize.OptimizeResult(x=np.asarray(x0), success=False,
+                                                 message="Iteration limit reached")
+        monkeypatch.setattr(scipy.optimize, "minimize", stalled)
+        with pytest.raises(NoConvergence, match="t = 0.0000: Iteration limit reached"):
+            compare_tubes(*self._flat_against_round())
 
     def test_wide_and_near_pi_fixtures(self):
         # Beyond criterion 9: separations up to 1.2 rad, cross-section scales
