@@ -25,7 +25,6 @@ __all__ = [
     "residuals",
     "apply_action",
     "apply_action_sample",
-    "geodesic_interpolate",
     "curve_length",
     "length_loss",
 ]
@@ -242,11 +241,6 @@ def _interpolate_many(curve: RotationCurve | CurveSample, s: np.ndarray) -> np.n
     return out
 
 
-def geodesic_interpolate(curve: RotationCurve, s: float) -> np.ndarray:
-    """Value of the piecewise-geodesic interpolant at s; exact at grid points."""
-    return _interpolate_many(curve, np.asarray([s], dtype=float))[0]
-
-
 def apply_action(curve: RotationCurve, act: SpatioTemporalAction,
                  out_grid: TimeGrid | None = None) -> RotationCurve:
     """Curve t -> P curve(warp(t)) Q, sampled on out_grid (default: own grid)."""
@@ -264,9 +258,15 @@ def apply_action_sample(sample: CurveSample, act: SpatioTemporalAction,
     return CurveSample(grid, act.p @ vals @ act.q)
 
 
+def _chord_sum(values: np.ndarray) -> float:
+    """Sum of the geodesic distances between consecutive rotations of a (K, 3, 3) stack."""
+    steps = so3.log_so3(np.swapaxes(values[:-1], -1, -2) @ values[1:], validate=False)
+    return float(np.sum(np.linalg.norm(steps, axis=-1)))
+
+
 def curve_length(curve: RotationCurve) -> float:
     """First-order quadrature of the bi-invariant length: sum of chord distances."""
-    return float(np.sum(so3.geodesic_distance(curve.values[:-1], curve.values[1:])))
+    return _chord_sum(curve.values)
 
 
 def length_loss(g: RotationCurve, h: RotationCurve) -> tuple[float, float, float]:
@@ -276,10 +276,6 @@ def length_loss(g: RotationCurve, h: RotationCurve) -> tuple[float, float, float
     delta their mean.
     """
     _require_same_grid(g.grid, h.grid, "loss arguments")
-    right = np.einsum("kij,klj->kil", g.values, h.values)   # g h^T
-    left = np.einsum("kji,kjl->kil", g.values, h.values)    # g^T h
-    d1 = float(np.sum(np.linalg.norm(
-        so3.log_so3(np.swapaxes(right[:-1], -1, -2) @ right[1:], validate=False), axis=-1)))
-    d2 = float(np.sum(np.linalg.norm(
-        so3.log_so3(np.swapaxes(left[:-1], -1, -2) @ left[1:], validate=False), axis=-1)))
+    d1 = _chord_sum(np.einsum("kij,klj->kil", g.values, h.values))    # g h^T
+    d2 = _chord_sum(np.einsum("kji,kjl->kil", g.values, h.values))    # g^T h
     return 0.5 * (d1 + d2), d1, d2

@@ -29,7 +29,7 @@ from .curves import ResidualField
 from .errors import (InvalidDof, NoConvergence, NonMonotoneBracket, NoRoot,
                      ZeroResidualColumn)
 
-__all__ = ["EcContext", "t_ec_density", "lkc_estimate", "expected_ec", "solve_quantile"]
+__all__ = ["EcContext", "lkc_estimate", "expected_ec", "solve_quantile"]
 
 _BRACKET_TOL = 1e-12       # well below the 1e-8 contract; keeps roots reproducible
 _VALUE_TOL = 1e-8
@@ -56,26 +56,17 @@ def _gamma_ratio(n: int) -> float:
 
 
 def _ec_densities(t: np.ndarray, n: int) -> tuple:
-    """rho_0..rho_3 at t for n - 1 dof, sharing one power of 1 + t^2 / nu."""
+    """EC densities rho_0..rho_3 of a t-process with n - 1 dof, at t.
+
+    rho_0 is the upper tail of Student's t (regularized incomplete beta, not
+    quadrature); rho_1..rho_3 are closed forms sharing one power of 1 + t^2 / nu.
+    """
     nu = n - 1
     base = (1.0 + t * t / nu) ** (1.0 - n / 2.0)
     return (special.stdtr(nu, -t),
             base / (2.0 * np.pi),
             (2.0 * np.pi) ** -1.5 * _gamma_ratio(n) / math.sqrt(nu / 2.0) * t * base,
             (2.0 * np.pi) ** -2.0 * ((n - 2.0) / nu * t * t - 1.0) * base)
-
-
-def t_ec_density(j: int, t, n: int):
-    """Euler characteristic density rho_j of a t-process with n - 1 dof.
-
-    rho_0 is the upper tail probability of Student's t (regularized
-    incomplete beta, not quadrature); rho_1..rho_3 are closed forms.
-    """
-    if n < 3:
-        raise InvalidDof(f"need N >= 3, got N = {n}")
-    if j not in (0, 1, 2, 3):
-        raise ValueError(f"density order must be 0..3, got {j}")
-    return _ec_densities(np.asarray(t, dtype=float), n)[j]
 
 
 def lkc_estimate(res: ResidualField) -> float:

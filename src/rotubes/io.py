@@ -75,11 +75,12 @@ class DatasetManifest:
             conv = data.get("euler_convention", {})
             convention = EulerConvention(conv.get("axes", "zxy"), conv.get("mode", "intrinsic"))
             base = os.path.dirname(os.path.abspath(path))
-            sessions = {
-                label: [p if os.path.isabs(p) else os.path.join(base, p) for p in paths]
-                for label, paths in data["sessions"].items()
-            }
-            return cls(sessions=sessions, grid_size=int(data["grid_size"]),
+            sessions = {}
+            for label, paths in data["sessions"].items():
+                if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
+                    raise ParseError(f"{path}: session {label!r} must be a list of file names")
+                sessions[label] = [os.path.join(base, p) for p in paths]   # absolute p stays p
+            return cls(sessions=sessions, grid_size=_require_int(data, "grid_size", path),
                        euler_convention=convention)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: bad manifest field ({exc})") from exc
@@ -208,11 +209,18 @@ def _require(data: dict, key: str, path: str):
     return data[key]
 
 
+def _require_int(data: dict, key: str, path: str) -> int:
+    value = _require(data, key, path)
+    if type(value) is not int:          # a float, a string or a bool is refused
+        raise ParseError(f"{path}: field {key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _load_json(path: str) -> dict:
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:           # also a file that is not UTF-8 text
             raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -224,7 +232,7 @@ def action_from_json(path: str) -> SpatioTemporalAction:
         q = np.array(_require(data, "q", path), dtype=float).reshape(3, 3)
         warp = np.array(data.get("warp", [[0.0, 0.0], [1.0, 1.0]]), dtype=float)
         return SpatioTemporalAction(p, q, warp)
-    except (ValueError, TypeError, InvalidRotation) as exc:
+    except (ValueError, TypeError, OverflowError, InvalidRotation) as exc:
         raise ParseError(f"{path}: bad alignment record ({exc})") from exc
 
 
@@ -259,14 +267,14 @@ def tube_from_dict(data: dict, path: str = "<tube>") -> ConfidenceTube:
         grid = TimeGrid(np.array(_require(data, "grid", path), dtype=float))
         center = RotationCurve(grid, np.array(_require(data, "center", path),
                                               dtype=float).reshape(-1, 3, 3))
-        upper = np.array(_require(data, "cov_upper", path), dtype=float)
+        upper = np.array(_require(data, "cov_upper", path), dtype=float).reshape(len(grid), 6)
         S = upper[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)   # inverse of _UPPER
         _check_spd(S, grid)
         return ConfidenceTube(center=center, s=S,
                               hquant=float(_require(data, "hquant", path)),
                               alpha=float(_require(data, "alpha", path)),
-                              n=int(_require(data, "n", path)))
-    except (ValueError, TypeError, IndexError, InvalidRotation, SingularCovariance) as exc:
+                              n=_require_int(data, "n", path))
+    except (ValueError, TypeError, OverflowError, InvalidRotation, SingularCovariance) as exc:
         raise ParseError(f"{path}: bad tube record ({exc})") from exc
 
 

@@ -31,8 +31,6 @@ from .errors import SingularCovariance
 __all__ = [
     "ErrorProcessSpec",
     "CoverageReport",
-    "sample_generating_path",
-    "sample_gp_curve",
     "sample_gp_sample",
     "coverage_experiment",
     "mc_quantile_oracle",
@@ -109,8 +107,6 @@ def _error_paths(i: int, l: int, grid: TimeGrid, rng,
     """
     t = grid.t
     k = t.size
-    if i not in (1, 2, 3):
-        raise ValueError(f"family must be 1, 2 or 3, got {i}")
     width = (2, 10, k)[i - 1]
     if isinstance(rng, np.random.Generator):
         if i == 3:
@@ -147,27 +143,6 @@ def _generating_paths(spec: ErrorProcessSpec, grid: TimeGrid, streams) -> np.nda
     drawn from streams[3m:3m + 3], one per coordinate."""
     eps = _error_paths(spec.i, spec.l, grid, streams, (len(streams) // 3, 3))
     return np.swapaxes(MIXING_MATRICES[spec.j] @ (spec.sigma * eps), -1, -2)
-
-
-def sample_generating_path(spec: ErrorProcessSpec, grid: TimeGrid, rng) -> np.ndarray:
-    """Algebra-valued generating path a_t, shape (K, 3).
-
-    Three independent error paths are drawn, one per coordinate: from
-    per-coordinate substreams when rng is a SeedSequence, otherwise one
-    after another from the Generator.  They are scaled by sigma and mixed.
-    """
-    if isinstance(rng, np.random.SeedSequence):
-        streams = [np.random.default_rng(child) for child in rng.spawn(3)]
-    else:
-        streams = [rng] * 3
-    return _generating_paths(spec, grid, streams)[0]
-
-
-def sample_gp_curve(spec: ErrorProcessSpec, center: RotationCurve, grid: TimeGrid,
-                    rng) -> RotationCurve:
-    """One random curve center(t) @ exp(a_t) of the perturbation model."""
-    a = sample_generating_path(spec, grid, rng)
-    return RotationCurve(grid, center.values @ so3.exp_so3(a))
 
 
 def sample_gp_sample(spec: ErrorProcessSpec, center: RotationCurve, grid: TimeGrid,

@@ -1,10 +1,11 @@
 """Numerically stable operations on SO(3) and its Lie algebra so(3).
 
-Vectors in R^3 are identified with skew matrices through the hat/vee pair;
-norms of skew matrices use the rescaled Frobenius norm sqrt(trace(A A^T)/2)
-so that ||hat(a)|| equals the Euclidean norm of a.  All functions accept
-stacked inputs: shapes (..., 3) for algebra vectors and (..., 3, 3) for
-matrices, operating on the trailing axes.
+Vectors in R^3 are identified with skew matrices through the hat/vee pair.
+All functions accept stacked inputs: shapes (..., 3) for algebra vectors and
+(..., 3, 3) for matrices, operating on the trailing axes.  The logarithm
+treats every matrix of a stack at once, the ones near angle pi included:
+there the axis comes from the symmetric part, and on the cut locus itself,
+where both signs give the same rotation, a fixed sign convention picks one.
 """
 
 from __future__ import annotations
@@ -132,47 +133,36 @@ def log_so3(R: np.ndarray, validate: bool = True) -> np.ndarray:
     out = np.where(small[..., None], w * scale_small[..., None], out)
 
     if np.any(near_pi):
-        flat_R = R.reshape(-1, 3, 3)
-        flat_w = w.reshape(-1, 3)
-        flat_theta = theta.reshape(-1)
-        flat_out = out.reshape(-1, 3)
-        for idx in np.nonzero(near_pi.reshape(-1))[0]:
-            flat_out[idx] = _log_near_pi(flat_R[idx], flat_w[idx], flat_theta[idx])
-        out = flat_out.reshape(out.shape)
+        out[near_pi] = _log_near_pi(R[near_pi], w[near_pi], theta[near_pi])
     return out
 
 
-def _log_near_pi(R: np.ndarray, w: np.ndarray, theta: float) -> np.ndarray:
-    """Axis extraction from the symmetric part, stable as theta -> pi."""
-    c = np.cos(theta)
-    M = (0.5 * (R + R.T) - c * np.eye(3)) / (1.0 - c)     # axis outer product
-    i = int(np.argmax(np.diag(M)))
-    v = np.empty(3)
-    v[i] = np.sqrt(max(M[i, i], 0.0))
-    for j in range(3):
-        if j != i:
-            v[j] = M[i, j] / v[i]
-    v /= np.linalg.norm(v)
-
-    if np.linalg.norm(w) > _AXIS_SIGN_TOL:
-        # Sign still determined by the skew part.
-        if np.dot(v, w) < 0.0:
-            v = -v
-    else:
-        # Cut locus: pick the axis whose first nonzero component is positive.
-        for comp in v:
-            if abs(comp) > 1e-8:
-                if comp < 0.0:
-                    v = -v
-                break
-    return theta * v
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    # One dot product per row: rounds as np.linalg.norm does on a single vector.
+    return np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def frob_norm_rescaled(A: np.ndarray) -> np.ndarray:
-    """Rescaled Frobenius norm sqrt(trace(A A^T)/2); equals ||vee(A)|| on skews."""
-    A = np.asarray(A, dtype=float)
-    _check_shape_33(A)
-    return np.sqrt(np.sum(A * A, axis=(-1, -2)) / 2.0)
+def _log_near_pi(R: np.ndarray, w: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Axis extraction from the symmetric part, stable as theta -> pi.
+
+    R is (m, 3, 3), w (m, 3) and theta (m,); returns the (m, 3) logarithms.
+    """
+    rows = np.arange(len(R))
+    c = np.cos(theta)[:, None, None]
+    M = (0.5 * (R + np.swapaxes(R, -1, -2)) - c * np.eye(3)) / (1.0 - c)   # axis outer product
+    i = np.argmax(np.diagonal(M, axis1=-2, axis2=-1), axis=-1)
+    pivot = np.sqrt(np.maximum(M[rows, i, i], 0.0))
+    v = M[rows, i] / pivot[:, None]
+    v[rows, i] = pivot
+    v /= _row_norms(v)[:, None]
+
+    # The sign comes from the skew part while it is resolvable.  On the cut
+    # locus the axis whose first nonzero component is positive is taken.
+    first = v[rows, np.argmax(np.abs(v) > 1e-8, axis=-1)]
+    flip = np.where(_row_norms(w) > _AXIS_SIGN_TOL,
+                    (v[:, None, :] @ w[:, :, None])[:, 0, 0] < 0.0, first < 0.0)
+    v[flip] = -v[flip]
+    return theta[:, None] * v
 
 
 def project_to_so3(M: np.ndarray) -> np.ndarray:

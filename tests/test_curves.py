@@ -6,8 +6,8 @@ from scipy.spatial.transform import Rotation
 import rotubes as rt
 from rotubes import so3
 from rotubes.curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid,
-                            apply_action, curve_length, geodesic_interpolate,
-                            length_loss, pointwise_extrinsic_mean, residuals)
+                            _interpolate_many, apply_action, curve_length, length_loss,
+                            pointwise_extrinsic_mean, residuals)
 from rotubes.errors import GridMismatch
 
 
@@ -202,13 +202,13 @@ class TestInterpolation:
     def test_exact_at_grid_points(self):
         curve = smooth_curve(TimeGrid.uniform(13))
         for k, t in enumerate(curve.grid.t):
-            assert np.array_equal(geodesic_interpolate(curve, float(t)), curve.values[k])
+            assert np.array_equal(_interpolate_many(curve, np.array([t]))[0], curve.values[k])
 
     def test_geodesic_bisection(self):
         grid = TimeGrid([0.0, 1.0])
         theta = 0.8
         curve = RotationCurve(grid, np.stack([np.eye(3), so3.exp_so3([theta, 0, 0])]))
-        mid = geodesic_interpolate(curve, 0.5)
+        mid = _interpolate_many(curve, np.array([0.5]))[0]
         assert np.allclose(mid, so3.exp_so3([theta / 2.0, 0, 0]), atol=1e-12)
 
     def test_quadratic_error_decay(self):
@@ -223,7 +223,6 @@ class TestInterpolation:
         for k in (26, 51, 101, 201):
             grid = TimeGrid.uniform(k)
             curve = RotationCurve(grid, so3.exp_so3(path(grid.t)))
-            from rotubes.curves import _interpolate_many
             got = _interpolate_many(curve, s)
             errs[k] = so3.geodesic_distance(got, truth).max()
         for k in (26, 51, 101):

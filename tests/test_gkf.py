@@ -8,7 +8,7 @@ import rotubes as rt
 from rotubes import gkf
 from rotubes.curves import ResidualField, TimeGrid
 from rotubes.errors import InvalidDof, NoConvergence, NoRoot, ZeroResidualColumn
-from rotubes.gkf import EcContext, expected_ec, lkc_estimate, solve_quantile, t_ec_density
+from rotubes.gkf import EcContext, expected_ec, lkc_estimate, solve_quantile
 from rotubes.simulation import _error_paths
 
 
@@ -24,33 +24,32 @@ def tail_by_quadrature(t, n):
 
 class TestEcDensities:
     def test_order_zero_at_zero(self):
-        assert t_ec_density(0, 0.0, 10) == pytest.approx(0.5, abs=1e-14)
+        assert gkf._ec_densities(0.0, 10)[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_order_one_at_zero(self):
-        assert t_ec_density(1, 0.0, 10) == pytest.approx(1.0 / (2.0 * np.pi), abs=1e-15)
+        assert gkf._ec_densities(0.0, 10)[1] == pytest.approx(1.0 / (2.0 * np.pi), abs=1e-15)
 
     def test_order_two_at_zero(self):
-        assert t_ec_density(2, 0.0, 10) == 0.0
+        assert gkf._ec_densities(0.0, 10)[2] == 0.0
 
     @pytest.mark.parametrize("n", [4, 10, 31])
     def test_tail_matches_quadrature(self, n):
         for t in np.linspace(0.0, 8.0, 17):
-            assert t_ec_density(0, t, n) == pytest.approx(tail_by_quadrature(t, n),
-                                                          abs=1e-8)
+            assert gkf._ec_densities(t, n)[0] == pytest.approx(tail_by_quadrature(t, n),
+                                                               abs=1e-8)
 
     def test_tail_example(self):
-        assert t_ec_density(0, 2.0, 10) == pytest.approx(tail_by_quadrature(2.0, 10),
-                                                         abs=1e-10)
+        assert gkf._ec_densities(2.0, 10)[0] == pytest.approx(tail_by_quadrature(2.0, 10),
+                                                              abs=1e-10)
 
     def test_invalid_dof(self):
-        with pytest.raises(InvalidDof):
-            t_ec_density(0, 1.0, 2)
         with pytest.raises(InvalidDof):
             EcContext(2, 1.0)
 
     def test_invalid_order(self):
+        # Densities exist for orders 0..3 only.
         with pytest.raises(ValueError):
-            t_ec_density(4, 1.0, 10)
+            rho0, rho1, rho2, rho3, rho4 = gkf._ec_densities(1.0, 10)
 
 
 class TestLkcEstimate:
@@ -106,13 +105,13 @@ class TestExpectedEc:
     @pytest.mark.parametrize("n", [4, 5, 10, 31])
     def test_is_the_density_combination_exactly(self, n):
         # One formula: expected_ec is 2 rho0 + 4 pi rho2 + L1 (2 rho1 + 4 pi rho3)
-        # of the public densities, to the last bit.
+        # of the EC densities, to the last bit.
         ctx = EcContext(n, 1.7)
         for h in np.concatenate([[0.0], np.geomspace(1e-3, 1e7, 49)]):
             root = np.sqrt(h)
-            combination = (2.0 * t_ec_density(0, root, n) + 4.0 * np.pi * t_ec_density(2, root, n)
-                           + ctx.l1 * (2.0 * t_ec_density(1, root, n)
-                                       + 4.0 * np.pi * t_ec_density(3, root, n)))
+            rho = gkf._ec_densities(root, n)
+            combination = (2.0 * rho[0] + 4.0 * np.pi * rho[2]
+                           + ctx.l1 * (2.0 * rho[1] + 4.0 * np.pi * rho[3]))
             assert expected_ec(h, ctx) == combination, h
 
 

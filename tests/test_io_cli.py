@@ -233,8 +233,11 @@ class TestRecords:
         singular[4] = [1.0] * 6                        # rank one at t = 0.5
         scaled = [list(row) for row in record["center"]]
         scaled[2] = [2.0 * v for v in scaled[2]]       # not a rotation
-        for field, value in (("n", -3), ("n", 3), ("hquant", float("inf")),
-                             ("hquant", 0.0), ("center", scaled), ("cov_upper", singular)):
+        wide = [list(row) + [0.0] for row in record["cov_upper"]]   # 7 entries a row
+        # float("inf") is also what the JSON number 1e400 parses to.
+        for field, value in (("n", -3), ("n", 3), ("n", 5.7), ("n", "7"), ("n", float("inf")),
+                             ("hquant", float("inf")), ("hquant", 0.0), ("hquant", 10 ** 400),
+                             ("center", scaled), ("cov_upper", wide), ("cov_upper", singular)):
             path = tmp_path / f"{field}.json"
             path.write_text(json.dumps(dict(record, **{field: value})))
             with pytest.raises(ParseError) as info:
@@ -277,7 +280,12 @@ class TestRecords:
         for name, data in (("sessions", {"sessions": [], "grid_size": 5}),
                            ("top", [{"sessions": {"A": ["a.csv"]}, "grid_size": 5}]),
                            ("convention", {"sessions": {"A": ["a.csv"]}, "grid_size": 5,
-                                           "euler_convention": ["zxy"]})):
+                                           "euler_convention": ["zxy"]}),
+                           ("files", {"sessions": {"A": "walk.csv"}, "grid_size": 5}),
+                           ("fraction", {"sessions": {"A": ["a.csv"]}, "grid_size": 5.9}),
+                           ("text", {"sessions": {"A": ["a.csv"]}, "grid_size": "7"}),
+                           ("overflow", {"sessions": {"A": ["a.csv"]},
+                                         "grid_size": float("inf")})):
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(data))
             with pytest.raises(ParseError) as info:

@@ -3,8 +3,12 @@ import pytest
 
 import rotubes as rt
 from rotubes.curves import RotationCurve, TimeGrid
-from rotubes.simulation import (MIXING_MATRICES, _error_paths, modulation,
-                                sample_generating_path)
+from rotubes.simulation import MIXING_MATRICES, _error_paths, _generating_paths, modulation
+
+
+def keyed_generating_path(spec, grid, seed_seq):
+    """Generating path of one curve drawn from the three children of seed_seq."""
+    return _generating_paths(spec, grid, [np.random.default_rng(c) for c in seed_seq.spawn(3)])[0]
 
 
 class TestErrorProcesses:
@@ -77,8 +81,8 @@ class TestGpSampling:
         grid = TimeGrid.uniform(21)
         center = RotationCurve(grid, rt.exp_so3(
             np.stack([0.3 * grid.t, 0.1 * np.sin(grid.t), grid.t ** 2 * 0.2], -1)))
-        curve = rt.sample_gp_curve(rt.ErrorProcessSpec(1, 1, 1, 1e-12), center, grid,
-                                   np.random.default_rng(0))
+        curve = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 1e-12), center, grid,
+                                    1, 0)[0].curve(0)
         assert np.abs(curve.values - center.values).max() <= 1e-9
 
     def test_second_coordinate_variance_halved_under_mixing(self):
@@ -97,14 +101,14 @@ class TestGpSampling:
         grid = TimeGrid.uniform(31)
         center = RotationCurve.identity(grid)
         spec = rt.ErrorProcessSpec(2, 3, 2, 0.1)
-        c1 = rt.sample_gp_curve(spec, center, grid, np.random.SeedSequence(99))
-        c2 = rt.sample_gp_curve(spec, center, grid, np.random.SeedSequence(99))
+        c1 = rt.sample_gp_sample(spec, center, grid, 1, 99)[0].curve(0)
+        c2 = rt.sample_gp_sample(spec, center, grid, 1, 99)[0].curve(0)
         assert np.array_equal(c1.values, c2.values)
 
     def test_generating_path_mixes_coordinates(self):
         grid = TimeGrid.uniform(11)
-        path = sample_generating_path(rt.ErrorProcessSpec(1, 1, 2, 0.2), grid,
-                                      np.random.SeedSequence(5))
+        path = keyed_generating_path(rt.ErrorProcessSpec(1, 1, 2, 0.2), grid,
+                                     np.random.SeedSequence(5))
         assert path.shape == (11, 3)
 
     def test_error_path_shape(self):
@@ -125,7 +129,7 @@ class TestGpSampling:
         small, small_paths = rt.sample_gp_sample(spec, center, grid, 4, key)
         large, large_paths = rt.sample_gp_sample(spec, center, grid, 9, key)
         for m in range(4):
-            alone = sample_generating_path(spec, grid, np.random.SeedSequence(key + (m,)))
+            alone = keyed_generating_path(spec, grid, np.random.SeedSequence(key + (m,)))
             assert np.array_equal(small_paths[m], alone)
         assert np.array_equal(large_paths[:4], small_paths)
         assert np.array_equal(large.values[:4], small.values)

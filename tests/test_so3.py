@@ -132,20 +132,6 @@ class TestLog:
             so3.log_so3(np.diag([1.0, 1.0, -1.0]))
 
 
-class TestFrobNorm:
-    def test_pythagorean(self):
-        assert so3.frob_norm_rescaled(so3.hat([3.0, 4.0, 0.0])) == pytest.approx(5.0)
-
-    def test_zero(self):
-        assert so3.frob_norm_rescaled(np.zeros((3, 3))) == 0.0
-
-    def test_equals_vee_norm_on_skews(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((40, 3))
-        assert np.allclose(so3.frob_norm_rescaled(so3.hat(a)),
-                           np.linalg.norm(a, axis=1), atol=1e-14)
-
-
 class TestProjection:
     def test_fixed_point(self):
         for R in haar_rotations(10, 9):
