@@ -15,23 +15,7 @@ from .simulation import CoverageReport, ErrorProcessSpec, coverage_experiment
 
 ALPHAS = (0.15, 0.10, 0.05)
 
-# (n, sigma, modulation l, mixing j) in report order.
-ROWS = [
-    (10, 0.05, 1, 1), (15, 0.05, 1, 1), (30, 0.05, 1, 1),
-    (10, 0.05, 1, 2), (15, 0.05, 1, 2), (30, 0.05, 1, 2),
-    (10, 0.05, 3, 1), (15, 0.05, 3, 1), (30, 0.05, 3, 1),
-    (10, 0.05, 3, 2), (15, 0.05, 3, 2), (30, 0.05, 3, 2),
-    (10, 0.1, 1, 1), (15, 0.1, 1, 1), (30, 0.1, 1, 1),
-    (10, 0.1, 1, 2), (15, 0.1, 1, 2), (30, 0.1, 1, 2),
-    (10, 0.1, 3, 1), (15, 0.1, 3, 1), (30, 0.1, 3, 1),
-    (10, 0.1, 3, 2), (15, 0.1, 3, 2), (30, 0.1, 3, 2),
-    (10, 0.6, 1, 1), (15, 0.6, 1, 1), (30, 0.6, 1, 1),
-    (10, 0.6, 1, 2), (15, 0.6, 1, 2), (30, 0.6, 1, 2),
-    (10, 0.6, 3, 1), (15, 0.6, 3, 1), (30, 0.6, 3, 1),
-    (10, 0.6, 3, 2), (15, 0.6, 3, 2), (30, 0.6, 3, 2),
-]
-
-# Reference covering rates in percent at 85/90/95, keyed by row, per family i.
+# Covering rates in percent at 85/90/95 per family i, keyed by row (n, sigma, l, j).
 REFERENCE_RATES = {
     (10, 0.05, 1, 1): {1: (86.1, 91.0, 95.0), 2: (85.3, 90.1, 95.6), 3: (90.4, 93.9, 96.6)},
     (15, 0.05, 1, 1): {1: (85.0, 90.1, 95.4), 2: (85.7, 90.7, 94.9), 3: (89.4, 93.0, 96.6)},
@@ -70,6 +54,8 @@ REFERENCE_RATES = {
     (15, 0.6, 3, 2): {1: (81.5, 86.8, 93.5), 2: (81.6, 87.2, 94.0), 3: (86.2, 89.7, 95.2)},
     (30, 0.6, 3, 2): {1: (81.3, 86.6, 92.4), 2: (81.8, 86.7, 92.4), 3: (85.8, 89.2, 93.2)},
 }
+
+ROWS = list(REFERENCE_RATES)
 
 
 @dataclass(frozen=True)

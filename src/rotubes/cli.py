@@ -96,6 +96,9 @@ def _unsigned(text: str) -> int:
     return value
 
 
+_PARSER = _build_parser()
+
+
 def _convention(args) -> rio.EulerConvention:
     return rio.EulerConvention(args.euler_axes, args.euler_mode)
 
@@ -210,9 +213,8 @@ _COMMANDS = {
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

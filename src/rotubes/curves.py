@@ -221,18 +221,22 @@ def residuals(sample: CurveSample, center: RotationCurve | None = None) -> Resid
     return ResidualField(sample.grid, so3.log_so3(rel, validate=False), population, pem)
 
 
-def _interpolate_many(curve: RotationCurve | CurveSample, s: np.ndarray) -> np.ndarray:
-    """Geodesic interpolation of a curve, or of every curve of a sample, at
-    stacked parameters s in [0, 1]; result shape curve.values.shape[:-3] +
-    s.shape + (3, 3)."""
+def _bracket(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid interval k holding each s, and u with s = (1 - u) t[k] + u t[k + 1]."""
+    k = np.clip(np.searchsorted(t, s, side="right") - 1, 0, len(t) - 2)
+    return k, (s - t[k]) / (t[k + 1] - t[k])
+
+
+def _interpolate_many(t: np.ndarray, values: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Geodesic interpolation of rotations values[..., k, :, :] taken at times
+    t[k] (one curve, or a stack of curves on one grid), at stacked parameters
+    s in [0, 1]; result shape values.shape[:-3] + s.shape + (3, 3)."""
     s = np.asarray(s, dtype=float)
     if np.any((s < 0.0) | (s > 1.0)):
         raise ValueError("interpolation parameter outside [0, 1]")
-    t = curve.grid.t
-    k = np.clip(np.searchsorted(t, s, side="right") - 1, 0, len(t) - 2)
-    u = (s - t[k]) / (t[k + 1] - t[k])
-    R0 = curve.values[..., k, :, :]
-    R1 = curve.values[..., k + 1, :, :]
+    k, u = _bracket(t, s)
+    R0 = values[..., k, :, :]
+    R1 = values[..., k + 1, :, :]
     step = so3.log_so3(np.swapaxes(R0, -1, -2) @ R1, validate=False)
     out = R0 @ so3.exp_so3(u[..., None] * step)
     # Exact values at grid points, including the right endpoint.
@@ -245,8 +249,7 @@ def apply_action(curve: RotationCurve, act: SpatioTemporalAction,
                  out_grid: TimeGrid | None = None) -> RotationCurve:
     """Curve t -> P curve(warp(t)) Q, sampled on out_grid (default: own grid)."""
     grid = curve.grid if out_grid is None else out_grid
-    warped = act.warp(grid.t)
-    vals = _interpolate_many(curve, warped)
+    vals = _interpolate_many(curve.grid.t, curve.values, act.warp(grid.t))
     return RotationCurve(grid, act.p @ vals @ act.q)
 
 
@@ -254,7 +257,7 @@ def apply_action_sample(sample: CurveSample, act: SpatioTemporalAction,
                         out_grid: TimeGrid | None = None) -> CurveSample:
     """apply_action on every curve of a sample, as one stacked interpolation."""
     grid = sample.grid if out_grid is None else out_grid
-    vals = _interpolate_many(sample, act.warp(grid.t))
+    vals = _interpolate_many(sample.grid.t, sample.values, act.warp(grid.t))
     return CurveSample(grid, act.p @ vals @ act.q)
 
 

@@ -95,16 +95,19 @@ def _parse_numeric_rows(path: str) -> list[tuple[int, list[float]]]:
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
-            fields = [f.strip() for f in text.split(",")]
+            fields = text.split(",")
             try:
-                values = [float(f) for f in fields]
+                values = [float(f) for f in fields]     # float() strips whitespace itself
             except ValueError:
                 if header_allowed:
                     header_allowed = False
                     continue
-                bad = next(i for i, f in enumerate(fields) if not _is_float(f))
-                raise ParseError(f"{path}:{lineno}: field {bad + 1} is not numeric: "
-                                 f"{fields[bad]!r}")
+                for i, f in enumerate(fields):
+                    try:
+                        float(f)
+                    except ValueError:
+                        raise ParseError(f"{path}:{lineno}: field {i + 1} is not numeric: "
+                                         f"{f.strip()!r}")
             header_allowed = False
             if not all(map(math.isfinite, values)):
                 bad = next(i for i, v in enumerate(values) if not math.isfinite(v))
@@ -113,14 +116,6 @@ def _parse_numeric_rows(path: str) -> list[tuple[int, list[float]]]:
     if len(rows) < 2:
         raise ParseError(f"{path}: need at least 2 data rows, found {len(rows)}")
     return rows
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
 
 
 def ingest_curve_csv(path: str, grid_size: int,
@@ -150,10 +145,9 @@ def ingest_curve_csv(path: str, grid_size: int,
         k = int(np.argmax(np.diff(times) <= 0))
         raise NonMonotoneTime(f"{path}:{rows[k + 1][0]}: time stamps must be "
                               f"strictly increasing")
-    times = (times - times[0]) / (times[-1] - times[0])
-    raw = RotationCurve(TimeGrid(times), values)
+    times = TimeGrid((times - times[0]) / (times[-1] - times[0])).t
     grid = TimeGrid.uniform(grid_size)
-    return RotationCurve(grid, _interpolate_many(raw, grid.t))
+    return RotationCurve(grid, _interpolate_many(times, values, grid.t))
 
 
 def _matrix_rows(path: str, rows: list[tuple[int, list[float]]]) -> np.ndarray:
@@ -216,6 +210,19 @@ def _require_int(data: dict, key: str, path: str) -> int:
     return value
 
 
+def _require_floats(data: dict, key: str, path: str, default=None) -> np.ndarray:
+    """Field `key` (or `default` where it is absent) as a float array of JSON numbers.
+
+    The float conversion runs first and raises on ragged or non-numeric
+    input; the entries it accepted must then be numbers, not bools or strings.
+    """
+    value = _require(data, key, path) if default is None else data.get(key, default)
+    floats = np.array(value, dtype=float)
+    if not all(type(v) in (int, float) for v in np.array(value, dtype=object).flat):
+        raise ParseError(f"{path}: field {key!r} must hold JSON numbers only")
+    return floats
+
+
 def _load_json(path: str) -> dict:
     with open(path) as fh:
         try:
@@ -228,9 +235,9 @@ def action_from_json(path: str) -> SpatioTemporalAction:
     """Alignment file: rotations p, q as 9 row-major numbers, warp as (u,v) knots."""
     data = _load_json(path)
     try:
-        p = np.array(_require(data, "p", path), dtype=float).reshape(3, 3)
-        q = np.array(_require(data, "q", path), dtype=float).reshape(3, 3)
-        warp = np.array(data.get("warp", [[0.0, 0.0], [1.0, 1.0]]), dtype=float)
+        p = _require_floats(data, "p", path).reshape(3, 3)
+        q = _require_floats(data, "q", path).reshape(3, 3)
+        warp = _require_floats(data, "warp", path, default=[[0.0, 0.0], [1.0, 1.0]])
         return SpatioTemporalAction(p, q, warp)
     except (ValueError, TypeError, OverflowError, InvalidRotation) as exc:
         raise ParseError(f"{path}: bad alignment record ({exc})") from exc
@@ -240,22 +247,22 @@ def action_to_dict(act: SpatioTemporalAction) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "alignment",
-        "p": [float(v) for v in act.p.reshape(-1)],
-        "q": [float(v) for v in act.q.reshape(-1)],
-        "warp": [[float(u), float(v)] for u, v in act.warp_knots],
+        "p": act.p.reshape(-1).tolist(),
+        "q": act.q.reshape(-1).tolist(),
+        "warp": act.warp_knots.tolist(),
     }
 
 
-_UPPER = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+_UPPER = np.triu_indices(3)             # cov_upper order: S11, S12, S13, S22, S23, S33
 
 
 def tube_to_dict(tube: ConfidenceTube) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "confidence_tube",
-        "grid": [float(t) for t in tube.grid.t],
-        "center": [[float(v) for v in R.reshape(-1)] for R in tube.center.values],
-        "cov_upper": [[float(S[i, j]) for i, j in _UPPER] for S in tube.s],
+        "grid": tube.grid.t.tolist(),
+        "center": tube.center.values.reshape(-1, 9).tolist(),
+        "cov_upper": tube.s[:, _UPPER[0], _UPPER[1]].tolist(),
         "hquant": float(tube.hquant),
         "alpha": float(tube.alpha),
         "n": int(tube.n),
@@ -264,15 +271,15 @@ def tube_to_dict(tube: ConfidenceTube) -> dict:
 
 def tube_from_dict(data: dict, path: str = "<tube>") -> ConfidenceTube:
     try:
-        grid = TimeGrid(np.array(_require(data, "grid", path), dtype=float))
-        center = RotationCurve(grid, np.array(_require(data, "center", path),
-                                              dtype=float).reshape(-1, 3, 3))
-        upper = np.array(_require(data, "cov_upper", path), dtype=float).reshape(len(grid), 6)
-        S = upper[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)   # inverse of _UPPER
+        grid = TimeGrid(_require_floats(data, "grid", path))
+        center = RotationCurve(grid, _require_floats(data, "center", path).reshape(-1, 3, 3))
+        upper = _require_floats(data, "cov_upper", path).reshape(len(grid), 6)
+        S = np.empty((len(grid), 3, 3))
+        S[:, _UPPER[0], _UPPER[1]] = S[:, _UPPER[1], _UPPER[0]] = upper
         _check_spd(S, grid)
         return ConfidenceTube(center=center, s=S,
-                              hquant=float(_require(data, "hquant", path)),
-                              alpha=float(_require(data, "alpha", path)),
+                              hquant=float(_require_floats(data, "hquant", path)),
+                              alpha=float(_require_floats(data, "alpha", path)),
                               n=_require_int(data, "n", path))
     except (ValueError, TypeError, OverflowError, InvalidRotation, SingularCovariance) as exc:
         raise ParseError(f"{path}: bad tube record ({exc})") from exc
@@ -295,8 +302,8 @@ def overlap_report_to_dict(report: OverlapReport) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "overlap_report",
-        "grid": [float(v) for v in t],
-        "overlap": [bool(v) for v in report.overlap],
+        "grid": t.tolist(),
+        "overlap": report.overlap.tolist(),
         "loci": loci,
     }
 

@@ -85,13 +85,13 @@ def _check_shape_33(A: np.ndarray) -> None:
         raise ValueError(f"expected trailing shape (3, 3), got {A.shape}")
 
 
-def is_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
-    """Elementwise check of R^T R = I and det(R) = 1 within tol."""
+def is_rotation(R: np.ndarray) -> np.ndarray:
+    """Elementwise check of R^T R = I and det(R) = 1 within ROTATION_TOL."""
     R = np.asarray(R, dtype=float)
     _check_shape_33(R)
     gram_err = np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max(axis=(-1, -2))
     det_err = np.abs(np.linalg.det(R) - 1.0)
-    return (gram_err <= tol) & (det_err <= tol)
+    return (gram_err <= ROTATION_TOL) & (det_err <= ROTATION_TOL)
 
 
 def check_rotation(R: np.ndarray) -> None:

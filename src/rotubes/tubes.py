@@ -10,14 +10,14 @@ characteristic quantile of max_t H_t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gkf, so3
 from .curves import (CurveSample, ResidualField, RotationCurve, SpatioTemporalAction,
-                     TimeGrid, apply_action, residuals)
-from .errors import GridMismatch, NoConvergence, SingularCovariance
+                     TimeGrid, _bracket, _require_same_grid, apply_action, residuals)
+from .errors import NoConvergence, SingularCovariance
 
 __all__ = [
     "ConfidenceTube",
@@ -83,7 +83,7 @@ class OverlapReport:
 
     grid: TimeGrid
     overlap: np.ndarray
-    loci: tuple[tuple[int, int], ...] = None  # filled from `overlap`
+    loci: tuple[tuple[int, int], ...] = field(init=False)   # filled from `overlap`
 
     def __post_init__(self):
         ov = np.asarray(self.overlap, dtype=bool)
@@ -101,6 +101,11 @@ def _false_runs(flags: np.ndarray) -> tuple[tuple[int, int], ...]:
     edges = np.diff(np.concatenate(([0], ~flags, [0])).astype(np.int8))
     return tuple(zip(np.flatnonzero(edges == 1).tolist(),
                      (np.flatnonzero(edges == -1) - 1).tolist()))
+
+
+def _hotelling(n: int, S: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """n a_t^T S_t^{-1} a_t per grid point: the statistic H_t and the membership form."""
+    return n * np.einsum("ka,ka->k", a, np.linalg.solve(S, a[..., None])[..., 0])
 
 
 def _sample_covariance(res: ResidualField) -> np.ndarray:
@@ -138,8 +143,7 @@ def tube_ingredients(sample: CurveSample,
     _check_spd(S, sample.grid)
     xbar, h = res.population, None
     if xbar is not None:
-        h = sample.size * np.einsum("ka,ka->k", xbar, np.linalg.solve(S, xbar[..., None])[..., 0])
-        h = np.maximum(h, 0.0)
+        h = np.maximum(_hotelling(sample.size, S, xbar), 0.0)
     return TubeIngredients(res=res, s=S, l1=gkf.lkc_estimate(res), n=sample.size, h=h)
 
 
@@ -155,12 +159,10 @@ def build_tube(sample: CurveSample, alpha: float) -> ConfidenceTube:
 
 def tube_contains(tube: ConfidenceTube, curve: RotationCurve) -> tuple[np.ndarray, bool]:
     """Pointwise and overall membership of a curve in the tube (closed boundary)."""
-    if tube.grid != curve.grid:
-        raise GridMismatch("tube and curve must share the time grid")
+    _require_same_grid(tube.grid, curve.grid, "tube and curve")
     rel = np.einsum("kij,kil->kjl", tube.center.values, curve.values)
     a = so3.log_so3(rel, validate=False)
-    q = tube.n * np.einsum("ka,ka->k", a, np.linalg.solve(tube.s, a[..., None])[..., 0])
-    per_point = q <= tube.hquant
+    per_point = _hotelling(tube.n, tube.s, a) <= tube.hquant
     return per_point, bool(per_point.all())
 
 
@@ -174,10 +176,8 @@ def act_on_tube(tube: ConfidenceTube, act: SpatioTemporalAction,
     """
     grid = tube.grid if out_grid is None else out_grid
     center = apply_action(tube.center, act, grid)
-    warped = act.warp(grid.t)
-    t = tube.grid.t
-    k = np.clip(np.searchsorted(t, warped, side="right") - 1, 0, len(t) - 2)
-    u = ((warped - t[k]) / (t[k + 1] - t[k]))[:, None, None]
+    k, u = _bracket(tube.grid.t, act.warp(grid.t))
+    u = u[:, None, None]
     s_interp = (1.0 - u) * tube.s[k] + u * tube.s[k + 1]
     # Convex combinations of checked SPD matrices, conjugated by Q, stay SPD above the floor.
     s_acted = np.swapaxes(act.q, -1, -2) @ s_interp @ act.q
@@ -254,8 +254,7 @@ def compare_tubes(a: ConfidenceTube, b: ConfidenceTube) -> OverlapReport:
     report an unconverged non-overlap.  Non-overlap needs the minimum to
     exceed b's threshold by a relative margin of 1e-6.
     """
-    if a.grid != b.grid:
-        raise GridMismatch("tubes must share the time grid")
+    _require_same_grid(a.grid, b.grid, "tubes")
     D = np.swapaxes(b.center.values, -1, -2) @ a.center.values
     L = math.sqrt(a.hquant / a.n) * np.linalg.cholesky(a.s)
     B = (b.n / b.hquant) * np.linalg.inv(b.s)           # b's tube: m^T B m <= 1

@@ -202,13 +202,14 @@ class TestInterpolation:
     def test_exact_at_grid_points(self):
         curve = smooth_curve(TimeGrid.uniform(13))
         for k, t in enumerate(curve.grid.t):
-            assert np.array_equal(_interpolate_many(curve, np.array([t]))[0], curve.values[k])
+            got = _interpolate_many(curve.grid.t, curve.values, np.array([t]))[0]
+            assert np.array_equal(got, curve.values[k])
 
     def test_geodesic_bisection(self):
         grid = TimeGrid([0.0, 1.0])
         theta = 0.8
         curve = RotationCurve(grid, np.stack([np.eye(3), so3.exp_so3([theta, 0, 0])]))
-        mid = _interpolate_many(curve, np.array([0.5]))[0]
+        mid = _interpolate_many(curve.grid.t, curve.values, np.array([0.5]))[0]
         assert np.allclose(mid, so3.exp_so3([theta / 2.0, 0, 0]), atol=1e-12)
 
     def test_quadratic_error_decay(self):
@@ -223,7 +224,7 @@ class TestInterpolation:
         for k in (26, 51, 101, 201):
             grid = TimeGrid.uniform(k)
             curve = RotationCurve(grid, so3.exp_so3(path(grid.t)))
-            got = _interpolate_many(curve, s)
+            got = _interpolate_many(curve.grid.t, curve.values, s)
             errs[k] = so3.geodesic_distance(got, truth).max()
         for k in (26, 51, 101):
             ratio = errs[k] / errs[2 * k - 1]

@@ -234,9 +234,14 @@ class TestRecords:
         scaled = [list(row) for row in record["center"]]
         scaled[2] = [2.0 * v for v in scaled[2]]       # not a rotation
         wide = [list(row) + [0.0] for row in record["cov_upper"]]   # 7 entries a row
-        # float("inf") is also what the JSON number 1e400 parses to.
+        flagged = [list(row) for row in record["center"]]
+        flagged[0] = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, True]  # identity, one `true`
+        # float("inf") is also what the JSON number 1e400 parses to.  Strings and
+        # booleans are not JSON numbers, even where float() would take them.
         for field, value in (("n", -3), ("n", 3), ("n", 5.7), ("n", "7"), ("n", float("inf")),
                              ("hquant", float("inf")), ("hquant", 0.0), ("hquant", 10 ** 400),
+                             ("hquant", True), ("hquant", "3.5"), ("alpha", "0.05"),
+                             ("grid", [str(t) for t in record["grid"]]), ("center", flagged),
                              ("center", scaled), ("cov_upper", wide), ("cov_upper", singular)):
             path = tmp_path / f"{field}.json"
             path.write_text(json.dumps(dict(record, **{field: value})))
@@ -259,12 +264,13 @@ class TestRecords:
 
     def test_malformed_action_file(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"p": [1, 2, 3]}')
-        with pytest.raises(ParseError):
-            rio.action_from_json(str(path))
-        path.write_text("not json")
-        with pytest.raises(ParseError):
-            rio.action_from_json(str(path))
+        eye = [1, 0, 0, 0, 1, 0, 0, 0, 1]
+        for text in ('{"p": [1, 2, 3]}', "not json",
+                     json.dumps({"p": [str(v) for v in eye], "q": eye}),
+                     json.dumps({"p": eye, "q": eye, "warp": [[0, 0], [True, True]]})):
+            path.write_text(text)
+            with pytest.raises(ParseError):
+                rio.action_from_json(str(path))
 
     def test_bad_alignment_rotations_name_the_file(self, tmp_path):
         record = rio.action_to_dict(SpatioTemporalAction.identity())
@@ -416,6 +422,47 @@ class TestCli:
         assert self.run("compare", "--tube-a", tube_a, "--tube-b", tube_b,
                         "--alignment", align, "--out", out) == 0
         assert all(json.load(open(out))["overlap"])
+
+    def test_manifest_session_matches_input_directory(self, tmp_path, capsys):
+        grid = TimeGrid.uniform(11)
+        sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.05),
+                                        smooth_curve(grid), grid, 5, 4)
+        names = [f"walk{n}.csv" for n in range(5)]
+        for n, name in enumerate(names):
+            rio.write_curve_csv(str(tmp_path / name), sample.curve(n))
+        manifest = str(tmp_path / "manifest.json")
+        rio.atomic_write_json(manifest, {"sessions": {"A": names}, "grid_size": 11})
+        by_dir, by_manifest = str(tmp_path / "dir.json"), str(tmp_path / "manifest_tube.json")
+        assert self.run("tube", "--input", str(tmp_path), "--alpha", "0.05", "--grid-size",
+                        "11", "--out", by_dir) == 0
+        assert self.run("tube", "--manifest", manifest, "--session", "A", "--alpha", "0.05",
+                        "--out", by_manifest) == 0
+        assert open(by_dir, "rb").read() == open(by_manifest, "rb").read()
+        capsys.readouterr()
+        argv = ["tube", "--manifest", manifest, "--alpha", "0.05", "--out", by_manifest]
+        for extra, message in (([], "--session is required with --manifest"),
+                               (["--session", "B"], "session 'B' not in manifest")):
+            assert self.run(*argv, *extra) == 1
+            assert message in capsys.readouterr().err
+
+    def test_tube_with_alignment_equals_library_path(self, tmp_path):
+        grid = TimeGrid.uniform(11)
+        sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.05),
+                                        smooth_curve(grid), grid, 5, 6)
+        for n in range(5):
+            rio.write_curve_csv(str(tmp_path / f"walk{n}.csv"), sample.curve(n))
+        act = SpatioTemporalAction(
+            Rotation.random(rng=np.random.default_rng(7)).as_matrix(),
+            Rotation.random(rng=np.random.default_rng(8)).as_matrix(),
+            np.array([[0.0, 0.0], [0.45, 0.55], [1.0, 1.0]]))
+        align, out = str(tmp_path / "align.json"), str(tmp_path / "tube.json")
+        rio.atomic_write_json(align, rio.action_to_dict(act))
+        assert self.run("tube", "--input", str(tmp_path), "--alpha", "0.05", "--grid-size",
+                        "11", "--alignment", align, "--out", out) == 0
+        ingested = CurveSample.from_curves(
+            [rio.ingest_curve_csv(str(tmp_path / f"walk{n}.csv"), 11) for n in range(5)])
+        expected = build_tube(apply_action_sample(ingested, act), 0.05)
+        assert json.load(open(out)) == rio.tube_to_dict(expected)
 
     def test_export_euler_command(self, tmp_path):
         curve = smooth_curve(TimeGrid.uniform(9))

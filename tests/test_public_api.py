@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -30,3 +33,15 @@ def test_package_reexports_are_public_names():
         for alias in node.names:
             assert getattr(rotubes, alias.name) is getattr(module, alias.name)
             assert alias.name in getattr(module, "__all__", [alias.name]), alias.name
+
+
+def test_import_loads_no_pipeline_modules():
+    # `import rotubes` stays light: the optimizer, the rotation parser, the
+    # file formats and the CLI (whose parser is built at import) load on use.
+    heavy = ["scipy.optimize", "scipy.spatial", "rotubes.io", "rotubes.cli"]
+    code = f"import sys, rotubes; print([m for m in {heavy!r} if m in sys.modules])"
+    src = os.path.dirname(os.path.dirname(rotubes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

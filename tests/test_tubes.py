@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -132,6 +133,17 @@ class TestBuildTubeAndContains:
         tube = build_tube(sample, 0.05)
         with pytest.raises(GridMismatch):
             tube_contains(tube, RotationCurve.identity(TimeGrid.uniform(7)))
+
+    def test_statistic_and_membership_are_the_same_floats(self):
+        # A tube whose quantile is max_t H_t holds the center H was taken at,
+        # and the next float below it drops the point where H peaks.
+        sample, center, _ = gp_sample(sigma=0.05, seed=12)
+        ing = tube_ingredients(sample, center)
+        tube = ConfidenceTube(center=ing.center, s=ing.s, hquant=float(ing.h.max()),
+                              alpha=0.05, n=ing.n)
+        assert tube_contains(tube, center)[1]
+        below = dataclasses.replace(tube, hquant=np.nextafter(tube.hquant, 0.0))
+        assert not tube_contains(below, center)[0][np.argmax(ing.h)]
 
     def test_alpha_ordering(self):
         sample, _, _ = gp_sample(seed=12)
