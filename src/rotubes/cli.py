@@ -45,10 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--manifest", help="dataset manifest JSON")
     tube.add_argument("--session", help="session label (with --manifest)")
     tube.add_argument("--alpha", type=float, required=True)
-    tube.add_argument("--grid-size", type=int, default=101)
-    tube.add_argument("--euler-axes", default="zxy")
-    tube.add_argument("--euler-mode", default="intrinsic",
-                      choices=("intrinsic", "extrinsic"))
+    tube.add_argument("--grid-size", type=int)
+    tube.add_argument("--euler-axes")
+    tube.add_argument("--euler-mode", choices=("intrinsic", "extrinsic"))
     tube.add_argument("--alignment", help="apply this alignment to the sample first")
     tube.add_argument("--out", required=True, help="JSON tube path")
 
@@ -72,8 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(long-running at --reps 1000)")
     bat.add_argument("--reps", type=int, required=True)
     bat.add_argument("--seed", type=_unsigned, required=True)
-    bat.add_argument("--rows", type=int, default=None,
-                     help="run only the first ROWS configurations (smoke runs)")
+    bat.add_argument("--rows", type=_row_count, default=None,
+                     help=f"run only the first ROWS of the {len(battery_mod.ROWS)} "
+                          f"configurations (smoke runs)")
     bat.add_argument("--grid-size", type=int, default=101)
     bat.add_argument("--out", required=True, help="JSON battery report path")
     return parser
@@ -96,7 +96,32 @@ def _unsigned(text: str) -> int:
     return value
 
 
+def _row_count(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= len(battery_mod.ROWS):
+        raise argparse.ArgumentTypeError(f"must be between 1 and {len(battery_mod.ROWS)}")
+    return value
+
+
 _PARSER = _build_parser()
+# Defaults of the tube flags that only --input reads.  With --manifest the
+# manifest sets them, so they parse as None to tell an explicit flag apart.
+_INPUT_DEFAULTS = {"grid_size": 101, "euler_axes": "zxy", "euler_mode": "intrinsic"}
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """Parse argv; a tube flag that its data source would ignore is a usage error."""
+    args = _PARSER.parse_args(argv)
+    if args.command == "tube":
+        by_manifest = args.manifest is not None
+        source = "--manifest" if by_manifest else "--input"
+        for name in _INPUT_DEFAULTS if by_manifest else ["session"]:
+            if getattr(args, name) is not None:
+                _PARSER.error(f"tube: --{name.replace('_', '-')} cannot be used with {source}")
+        for name, default in _INPUT_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+    return args
 
 
 def _convention(args) -> rio.EulerConvention:
@@ -104,7 +129,7 @@ def _convention(args) -> rio.EulerConvention:
 
 
 def _load_sample(args) -> CurveSample:
-    if args.manifest:
+    if args.manifest is not None:
         manifest = rio.DatasetManifest.from_json(args.manifest)
         if not args.session:
             raise RotubesError("--session is required with --manifest")
@@ -214,7 +239,7 @@ _COMMANDS = {
 
 def cli_main(argv: list[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -152,16 +152,14 @@ def ingest_curve_csv(path: str, grid_size: int,
 
 def _matrix_rows(path: str, rows: list[tuple[int, list[float]]]) -> np.ndarray:
     values = np.array([vals[1:] for _, vals in rows]).reshape(-1, 3, 3)
-    orth_err = np.abs(np.swapaxes(values, -1, -2) @ values - np.eye(3)).max(axis=(-1, -2))
-    det = np.linalg.det(values)
+    ok, orth_err, det = so3._rotation_test(values)
     bad = (orth_err > _PROJECTABLE_ORTH_ERR) | (det <= 0.0)
     if np.any(bad):
         k = int(np.argmax(bad))
         raise NonRotationRow(f"{path}:{rows[k][0]}: orthogonality error {orth_err[k]:.2e} "
                              f"or non-positive determinant; not repairable")
-    repair = (orth_err > so3.ROTATION_TOL) | (np.abs(det - 1.0) > so3.ROTATION_TOL)
-    if np.any(repair):
-        values[repair] = so3.project_to_so3(values[repair])
+    if not np.all(ok):
+        values[~ok] = so3.project_to_so3(values[~ok])
     return values
 
 

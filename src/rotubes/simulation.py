@@ -153,9 +153,10 @@ def sample_gp_sample(spec: ErrorProcessSpec, center: RotationCurve, grid: TimeGr
     keyed (seed..., n).
     """
     key = (seed,) if isinstance(seed, int) else tuple(seed)
+    # spawn_key=(d,) builds SeedSequence(key + (m,)).spawn(3)[d] without the parent.
     paths = _generating_paths(spec, grid, [
-        np.random.default_rng(child)
-        for m in range(n) for child in np.random.SeedSequence(key + (m,)).spawn(3)])
+        np.random.default_rng(np.random.SeedSequence(key + (m,), spawn_key=(d,)))
+        for m in range(n) for d in range(3)])
     values = center.values @ so3.exp_so3(paths)
     return CurveSample(grid, values), paths
 

@@ -85,13 +85,32 @@ def _check_shape_33(A: np.ndarray) -> None:
         raise ValueError(f"expected trailing shape (3, 3), got {A.shape}")
 
 
+def _rotation_test(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per stacked matrix: whether R^T R = I and det(R) = 1 hold within
+    ROTATION_TOL, the Gram error max|R^T R - I|, and det(R).
+
+    Both errors come from the columns c0, c1, c2: the Gram error from the six
+    unique dot products c_i . c_j, the determinant as the triple product
+    c0 . (c1 x c2).  NaN and inf entries fail the test.
+    """
+    c0, c1, c2 = np.moveaxis(R, (-2, -1), (1, 0))     # c_i[k] = R[..., k, i]
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    gram_err = np.abs([dot(c0, c0) - 1.0, dot(c1, c1) - 1.0, dot(c2, c2) - 1.0,
+                       dot(c0, c1), dot(c0, c2), dot(c1, c2)]).max(axis=0)
+    det = dot(c0, (c1[1] * c2[2] - c1[2] * c2[1], c1[2] * c2[0] - c1[0] * c2[2],
+                   c1[0] * c2[1] - c1[1] * c2[0]))
+    ok = (gram_err <= ROTATION_TOL) & (np.abs(det - 1.0) <= ROTATION_TOL)
+    return ok, gram_err, det
+
+
 def is_rotation(R: np.ndarray) -> np.ndarray:
     """Elementwise check of R^T R = I and det(R) = 1 within ROTATION_TOL."""
     R = np.asarray(R, dtype=float)
     _check_shape_33(R)
-    gram_err = np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max(axis=(-1, -2))
-    det_err = np.abs(np.linalg.det(R) - 1.0)
-    return (gram_err <= ROTATION_TOL) & (det_err <= ROTATION_TOL)
+    return _rotation_test(R)[0]
 
 
 def check_rotation(R: np.ndarray) -> None:

@@ -445,6 +445,30 @@ class TestCli:
             assert self.run(*argv, *extra) == 1
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source, flag, value", [
+        ("--manifest", "--grid-size", "51"),
+        ("--manifest", "--euler-axes", "xyz"),
+        ("--manifest", "--euler-mode", "extrinsic"),
+        ("--input", "--session", "A"),
+    ])
+    def test_tube_flag_its_source_ignores_is_a_usage_error(self, tmp_path, capsys,
+                                                           source, flag, value):
+        grid = TimeGrid.uniform(11)
+        sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.05),
+                                        smooth_curve(grid), grid, 5, 4)
+        names = [f"walk{n}.csv" for n in range(5)]
+        for n, name in enumerate(names):
+            rio.write_curve_csv(str(tmp_path / name), sample.curve(n))
+        manifest = str(tmp_path / "manifest.json")
+        rio.atomic_write_json(manifest, {"sessions": {"A": names}, "grid_size": 11})
+        data = ([source, manifest, "--session", "A"] if source == "--manifest"
+                else [source, str(tmp_path)])
+        out = str(tmp_path / "tube.json")
+        capsys.readouterr()
+        assert self.run("tube", *data, flag, value, "--alpha", "0.05", "--out", out) == 2
+        assert f"{flag} cannot be used with {source}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_tube_with_alignment_equals_library_path(self, tmp_path):
         grid = TimeGrid.uniform(11)
         sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.05),
@@ -478,6 +502,11 @@ class TestCli:
         assert self.run("tube", "--alpha", "0.05") == 2
         assert self.run("unknown-command") == 2
 
+    def test_empty_manifest_path_is_a_domain_error(self, tmp_path, capsys):
+        assert self.run("tube", "--manifest", "", "--session", "A", "--alpha", "0.05",
+                        "--out", str(tmp_path / "t.json")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_domain_error_exit_code(self, tmp_path):
         directory = tmp_path / "two"
         directory.mkdir()
@@ -498,3 +527,18 @@ class TestCli:
         assert data["kind"] == "coverage_battery"
         assert len(data["entries"]) == 3
         assert all(len(e["reference_percent"]) == 3 for e in data["entries"])
+
+    @pytest.mark.parametrize("rows", ["0", "-1", "37", "99"])
+    def test_battery_rows_outside_the_design_is_a_usage_error(self, tmp_path, capsys,
+                                                              monkeypatch, rows):
+        from rotubes import battery
+        calls = []
+        monkeypatch.setattr(battery, "run_battery", lambda *a, **kw: calls.append(kw) or [])
+        capsys.readouterr()
+        assert self.run("battery", "--reps", "4", "--seed", "2", "--rows", rows,
+                        "--out", str(tmp_path / "battery.json")) == 2
+        assert "--rows" in capsys.readouterr().err
+        assert calls == []
+        assert self.run("battery", "--reps", "4", "--seed", "2", "--rows", "36",
+                        "--out", str(tmp_path / "battery.json")) == 0
+        assert calls[0]["rows"] == battery.ROWS

@@ -1,10 +1,11 @@
-"""Property tests: the logarithm at the cut locus, file round trips, hostile records."""
+"""Property tests: the rotation check, the logarithm at the cut locus, file round
+trips, hostile records."""
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import rotubes as rt
@@ -23,6 +24,39 @@ def _unit(v):
 component = st.just(0.0) | st.floats(-1.0, -1e-6) | st.floats(1e-6, 1.0)
 axes = st.tuples(component, component, component).map(np.array).filter(
     lambda v: np.linalg.norm(v) > 1e-3).map(_unit)
+
+
+def _matmul_is_rotation(R):
+    """Reference check by the matmul Gram matrix and an LU determinant, plus
+    whether either error lies within O(1) rounding of the tolerance."""
+    gram_err = np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max(axis=(-1, -2))
+    det_err = np.abs(np.linalg.det(R) - 1.0)
+    on_edge = ((np.abs(gram_err - so3.ROTATION_TOL) <= 1e-15)
+               | (np.abs(det_err - so3.ROTATION_TOL) <= 1e-15))
+    return (gram_err <= so3.ROTATION_TOL) & (det_err <= so3.ROTATION_TOL), on_edge
+
+
+class TestIsRotation:
+    @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-10, 5e-9))
+    @example(seed=0, scale=1e-9)
+    def test_agrees_with_matmul_check_around_the_tolerance(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        R = so3.exp_so3(rng.uniform(-3.0, 3.0, (200, 3)))
+        R = R + R @ (scale * rng.standard_normal((200, 3, 3)))
+        expected, on_edge = _matmul_is_rotation(R)
+        assert np.array_equal(so3.is_rotation(R)[~on_edge], expected[~on_edge])
+
+    @given(entries=st.lists(st.floats(width=64), min_size=9, max_size=9))
+    @example(entries=[0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    @example(entries=[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0])
+    @example(entries=[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, float("nan")])
+    @example(entries=[float("inf"), 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
+    def test_agrees_with_matmul_check_on_any_matrix(self, entries):
+        R = np.reshape(entries, (3, 3))
+        with np.errstate(all="ignore"):
+            expected, on_edge = _matmul_is_rotation(R)
+            assume(not on_edge)
+            assert so3.is_rotation(R) == expected
 
 
 class TestLogNearPi:

@@ -88,6 +88,33 @@ class TestExp:
         assert np.all(so3.is_rotation(so3.exp_so3(a)))
 
 
+class TestIsRotation:
+    # Agreement with the matmul Gram / LU determinant form around ROTATION_TOL
+    # is a property test in test_properties.py.
+    def test_reflections_fail(self):
+        R = haar_rotations(50, 12)
+        assert not np.any(so3.is_rotation(-R))
+        assert not np.any(so3.is_rotation(R * np.array([1.0, 1.0, -1.0])))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_fail(self, bad):
+        R = np.tile(np.eye(3), (9, 1, 1))
+        R.reshape(9, 9)[np.arange(9), np.arange(9)] = bad     # one entry per matrix
+        assert not np.any(so3.is_rotation(R))
+        assert so3.is_rotation(np.concatenate([R, np.eye(3)[None]])).tolist() == \
+            [False] * 9 + [True]
+
+    def test_result_shapes(self):
+        assert so3.is_rotation(np.eye(3)).shape == ()
+        assert so3.is_rotation(np.eye(3))
+        assert so3.is_rotation(np.zeros((3, 3))).shape == ()
+        R = haar_rotations(24, 13).reshape(6, 4, 3, 3)
+        assert so3.is_rotation(R).shape == (6, 4)
+        assert np.all(so3.is_rotation(R))
+        with pytest.raises(ValueError):
+            so3.is_rotation(np.eye(4))
+
+
 class TestLog:
     def test_identity(self):
         assert np.array_equal(so3.log_so3(np.eye(3)), np.zeros(3))
