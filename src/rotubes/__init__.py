@@ -1,8 +1,8 @@
 """Simultaneous confidence tubes for rotation-valued curve data."""
 
 from .curves import (CurveSample, ResidualField, RotationCurve, SpatioTemporalAction,
-                     TimeGrid, apply_action, apply_action_sample, curve_length, length_loss,
-                     pointwise_extrinsic_mean, residuals)
+                     TimeGrid, apply_action, curve_length, length_loss, pointwise_extrinsic_mean,
+                     residuals)
 from .errors import (DegenerateMean, GridMismatch, InvalidDof, InvalidRotation,
                      NoConvergence, NonMonotoneBracket, NonMonotoneTime, NonRotationRow,
                      NonSkewInput, NoRoot, ParseError, RotubesError, SingularCovariance,

@@ -74,8 +74,8 @@ def run_battery(reps: int, seed: int, grid: TimeGrid | None = None,
                 progress=None) -> list[BatteryEntry]:
     """Run every configuration (optionally a subset of rows) at `reps` each.
 
-    Seeds are derived per (row, family) so entries are independent of
-    execution order.
+    Entries are keyed (seed, position in rows, family), independent of execution
+    order; only a prefix of ROWS reproduces the full run's entries for its rows.
     """
     grid = grid if grid is not None else TimeGrid.uniform(101)
     rows = ROWS if rows is None else rows

@@ -13,7 +13,7 @@ import sys
 
 from . import battery as battery_mod
 from . import io as rio
-from .curves import CurveSample, TimeGrid, apply_action_sample
+from .curves import CurveSample, TimeGrid, apply_action
 from .errors import RotubesError
 from .simulation import ErrorProcessSpec, coverage_experiment
 from .tubes import act_on_tube, build_tube, compare_tubes
@@ -129,26 +129,25 @@ def _convention(args) -> rio.EulerConvention:
 
 
 def _load_sample(args) -> CurveSample:
+    """The sample of one manifest session; --input DIR is a one-session manifest."""
     if args.manifest is not None:
         manifest = rio.DatasetManifest.from_json(args.manifest)
-        if not args.session:
+        label = args.session
+        if not label:
             raise RotubesError("--session is required with --manifest")
-        if args.session not in manifest.sessions:
-            raise RotubesError(f"session {args.session!r} not in manifest "
+        if label not in manifest.sessions:
+            raise RotubesError(f"session {label!r} not in manifest "
                                f"(have {sorted(manifest.sessions)})")
-        paths = manifest.sessions[args.session]
-        grid_size = manifest.grid_size
-        convention = manifest.euler_convention
     else:
         if not os.path.isdir(args.input):
             raise RotubesError(f"--input must be a directory: {args.input}")
-        paths = sorted(glob.glob(os.path.join(args.input, "*.csv")))
-        if not paths:
-            raise RotubesError(f"no *.csv files under {args.input}")
-        grid_size = args.grid_size
-        convention = _convention(args)
-    curves = [rio.ingest_curve_csv(p, grid_size, convention) for p in paths]
-    return CurveSample.from_curves(curves)
+        label = args.input
+        manifest = rio.DatasetManifest(
+            {label: sorted(glob.glob(os.path.join(label, "*.csv")))},
+            args.grid_size, _convention(args))
+    return CurveSample.from_curves([
+        rio.ingest_curve_csv(p, manifest.grid_size, manifest.euler_convention)
+        for p in manifest.sessions[label]])
 
 
 def _cmd_simulate(args) -> int:
@@ -169,7 +168,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_tube(args) -> int:
     sample = _load_sample(args)
     if args.alignment:
-        sample = apply_action_sample(sample, rio.action_from_json(args.alignment))
+        sample = apply_action(sample, rio.action_from_json(args.alignment))
     tube = build_tube(sample, args.alpha)
     rio.atomic_write_json(args.out, rio.tube_to_dict(tube))
     print(f"tube: n={tube.n} curves, grid {len(tube.grid)} points, "

@@ -24,7 +24,6 @@ __all__ = [
     "pointwise_extrinsic_mean",
     "residuals",
     "apply_action",
-    "apply_action_sample",
     "curve_length",
     "length_loss",
 ]
@@ -245,20 +244,13 @@ def _interpolate_many(t: np.ndarray, values: np.ndarray, s: np.ndarray) -> np.nd
     return out
 
 
-def apply_action(curve: RotationCurve, act: SpatioTemporalAction,
-                 out_grid: TimeGrid | None = None) -> RotationCurve:
-    """Curve t -> P curve(warp(t)) Q, sampled on out_grid (default: own grid)."""
-    grid = curve.grid if out_grid is None else out_grid
-    vals = _interpolate_many(curve.grid.t, curve.values, act.warp(grid.t))
-    return RotationCurve(grid, act.p @ vals @ act.q)
-
-
-def apply_action_sample(sample: CurveSample, act: SpatioTemporalAction,
-                        out_grid: TimeGrid | None = None) -> CurveSample:
-    """apply_action on every curve of a sample, as one stacked interpolation."""
-    grid = sample.grid if out_grid is None else out_grid
-    vals = _interpolate_many(sample.grid.t, sample.values, act.warp(grid.t))
-    return CurveSample(grid, act.p @ vals @ act.q)
+def apply_action(curves: RotationCurve | CurveSample, act: SpatioTemporalAction,
+                 out_grid: TimeGrid | None = None) -> RotationCurve | CurveSample:
+    """Curve t -> P curve(warp(t)) Q on out_grid (default: own grid); a CurveSample
+    is acted on curve by curve, in one stacked interpolation, and stays a sample."""
+    grid = curves.grid if out_grid is None else out_grid
+    vals = _interpolate_many(curves.grid.t, curves.values, act.warp(grid.t))
+    return type(curves)(grid, act.p @ vals @ act.q)
 
 
 def _chord_sum(values: np.ndarray) -> float:

@@ -67,6 +67,9 @@ class DatasetManifest:
             raise ValueError("grid_size must be at least 2")
         if not self.sessions:
             raise ValueError("manifest needs at least one session")
+        for label, paths in self.sessions.items():
+            if not paths:
+                raise ValueError(f"session {label!r} lists no curve files")
 
     @classmethod
     def from_json(cls, path: str) -> "DatasetManifest":
@@ -141,13 +144,16 @@ def ingest_curve_csv(path: str, grid_size: int,
                          f"found widths {sorted(widths)}")
 
     times = np.array([vals[0] for _, vals in rows])
-    if np.any(np.diff(times) <= 0):
-        k = int(np.argmax(np.diff(times) <= 0))
-        raise NonMonotoneTime(f"{path}:{rows[k + 1][0]}: time stamps must be "
-                              f"strictly increasing")
-    times = TimeGrid((times - times[0]) / (times[-1] - times[0])).t
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = (times - times[0]) / (times[-1] - times[0])
+        # Increasing stamps can still collapse (underflow) or overflow once normalized.
+        for stamps, what in ((times, "time stamps"), (unit, "normalized time stamps")):
+            stuck = ~(np.diff(stamps) > 0)
+            if np.any(stuck):
+                raise NonMonotoneTime(f"{path}:{rows[int(np.argmax(stuck)) + 1][0]}: "
+                                      f"{what} must be strictly increasing")
     grid = TimeGrid.uniform(grid_size)
-    return RotationCurve(grid, _interpolate_many(times, values, grid.t))
+    return RotationCurve(grid, _interpolate_many(unit, values, grid.t))
 
 
 def _matrix_rows(path: str, rows: list[tuple[int, list[float]]]) -> np.ndarray:

@@ -17,7 +17,7 @@ from rotubes import battery, so3
 from rotubes import io as rio
 from rotubes.cli import cli_main
 from rotubes.curves import (RotationCurve, SpatioTemporalAction, TimeGrid,
-                            apply_action, apply_action_sample)
+                            apply_action)
 from rotubes.gkf import EcContext, lkc_estimate, solve_quantile
 from rotubes.tubes import (ConfidenceTube, assemble_tube, compare_tubes, tube_contains,
                            tube_ingredients)
@@ -154,7 +154,7 @@ def test_criterion_7_equivariance_suite():
              0.2 * np.cos(3 * grid_x.t)], axis=-1)))
         sample_x, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.05),
                                           center_x, grid_x, 10, (SEED, 7, trial))
-        sample_y = apply_action_sample(sample_x, act, out_grid=grid_y)
+        sample_y = apply_action(sample_x, act, out_grid=grid_y)
         center_y = apply_action(center_x, act, out_grid=grid_y)
 
         ing_x = tube_ingredients(sample_x)
@@ -197,7 +197,7 @@ def test_criterion_7b_generic_rotation_identities():
     for _ in range(5):
         q_rot = Rotation.random(rng=rng).as_matrix()
         act = SpatioTemporalAction(Rotation.random(rng=rng).as_matrix(), q_rot)
-        acted = apply_action_sample(sample, act)
+        acted = apply_action(sample, act)
         ing_y = tube_ingredients(acted)
         assert np.abs(ing_y.s - q_rot.T @ ing.s @ q_rot).max() <= 1e-9
         h_x = tube_ingredients(sample, center=center).h

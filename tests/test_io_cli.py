@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from rotubes import io as rio
 from rotubes import so3
 from rotubes.cli import cli_main
 from rotubes.curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid,
-                            apply_action_sample)
+                            apply_action)
 from rotubes.errors import NonMonotoneTime, NonRotationRow, ParseError
 from rotubes.tubes import build_tube
 
@@ -149,6 +150,20 @@ class TestIngest:
         path.write_text("0,1,0,0\n2,2,0,0\n1,3,0,0\n")
         with pytest.raises(NonMonotoneTime):
             rio.ingest_curve_csv(str(path), 3)
+
+    @pytest.mark.parametrize("stamps, line, what", [
+        ("0,2,1", 3, "time stamps"),
+        ("0,5e-324,2", 2, "normalized time stamps"),        # collapses to 0, 0, 1
+        ("-1e308,0,1e308", 2, "normalized time stamps"),    # overflows to 0, 0, nan
+    ])
+    def test_time_stamps_that_stop_increasing_are_located(self, tmp_path, stamps, line, what):
+        path = tmp_path / "time.csv"
+        path.write_text("".join(f"{t},{10 * k},0,0\n" for k, t in enumerate(stamps.split(","))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonMonotoneTime) as info:
+                rio.ingest_curve_csv(str(path), 3)
+        assert str(info.value) == f"{path}:{line}: {what} must be strictly increasing"
 
     def test_comments_and_header_skipped(self, tmp_path):
         path = tmp_path / "hdr.csv"
@@ -298,6 +313,19 @@ class TestRecords:
                 rio.DatasetManifest.from_json(str(path))
             assert str(path) in str(info.value)
 
+    def test_manifest_session_without_files_names_manifest_and_session(self, tmp_path,
+                                                                       capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"sessions": {"A": ["a.csv"], "B": []}, "grid_size": 5}))
+        with pytest.raises(ParseError) as info:
+            rio.DatasetManifest.from_json(str(path))
+        assert str(path) in str(info.value) and "session 'B'" in str(info.value)
+        capsys.readouterr()
+        assert cli_main(["tube", "--manifest", str(path), "--session", "B", "--alpha", "0.05",
+                         "--out", str(tmp_path / "t.json")]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "session 'B'" in err
+
     def test_manifest_roundtrip(self, tmp_path):
         manifest_path = tmp_path / "manifest.json"
         manifest_path.write_text(json.dumps({
@@ -330,7 +358,7 @@ class TestManifestAlignment:
     def test_identity_action_keeps_sample(self):
         grid = TimeGrid.uniform(9)
         sample = CurveSample.from_curves([smooth_curve(grid, 0.3, p) for p in range(4)])
-        out = apply_action_sample(sample, SpatioTemporalAction.identity())
+        out = apply_action(sample, SpatioTemporalAction.identity())
         assert np.abs(out.values - sample.values).max() == 0.0
 
     def test_sample_action_equals_per_curve_action(self):
@@ -341,7 +369,7 @@ class TestManifestAlignment:
         sample = CurveSample.from_curves([smooth_curve(grid_x, 0.3, p) for p in range(5)])
         act = SpatioTemporalAction(so3.exp_so3([0.1, -0.2, 0.05]), so3.exp_so3([0.0, 0.3, 0.1]),
                                    np.array([[0.0, 0.0], [0.4, 0.5], [1.0, 1.0]]))
-        acted = apply_action_sample(sample, act, out_grid=grid_y)
+        acted = apply_action(sample, act, out_grid=grid_y)
         assert acted.grid == grid_y
         for n in range(sample.size):
             expected = rt.apply_action(sample.curve(n), act, out_grid=grid_y).values
@@ -357,8 +385,8 @@ class TestManifestAlignment:
             np.stack([0.3 * grid_x.t, 0.1 * np.sin(grid_x.t), 0.05 * grid_x.t], -1)))
         sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.05), center,
                                         grid_x, 8, 44)
-        from rotubes.curves import apply_action_sample
-        acted = apply_action_sample(sample, act, out_grid=grid_y)
+        from rotubes.curves import apply_action
+        acted = apply_action(sample, act, out_grid=grid_y)
         assert build_tube(acted, 0.05).hquant == pytest.approx(
             build_tube(sample, 0.05).hquant, abs=1e-9)
 
@@ -485,7 +513,7 @@ class TestCli:
                         "11", "--alignment", align, "--out", out) == 0
         ingested = CurveSample.from_curves(
             [rio.ingest_curve_csv(str(tmp_path / f"walk{n}.csv"), 11) for n in range(5)])
-        expected = build_tube(apply_action_sample(ingested, act), 0.05)
+        expected = build_tube(apply_action(ingested, act), 0.05)
         assert json.load(open(out)) == rio.tube_to_dict(expected)
 
     def test_export_euler_command(self, tmp_path):

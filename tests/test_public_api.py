@@ -2,10 +2,12 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +47,22 @@ def test_import_loads_no_pipeline_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_bench_hook_targets_are_bound():
+    # bench/run.py --trace 1 exits 2 when a hook target of bench/tracing.py is
+    # gone or bound by no module; a rename that would do that fails here too.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = {m: dict(vars(importlib.import_module(m))) for m in tracing.MODULES}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer._restore
+    finally:
+        tracer.uninstall()
+    for name, attrs in before.items():
+        module = vars(importlib.import_module(name))
+        assert all(module[attr] is value for attr, value in attrs.items()), name

@@ -219,9 +219,16 @@ class TestMcQuantileOracle:
     def test_determinism_and_chunk_independence(self):
         spec = rt.ErrorProcessSpec(1, 1, 1, 0.05)
         grid = TimeGrid.uniform(21)
-        a = rt.mc_quantile_oracle(spec, 8, 1500, 0.1, grid, seed=7, chunk=1500)
-        b = rt.mc_quantile_oracle(spec, 8, 1500, 0.1, grid, seed=7, chunk=1500)
+        a = rt.mc_quantile_oracle(spec, 8, 1500, 0.1, grid, seed=7)
+        b = rt.mc_quantile_oracle(spec, 8, 1500, 0.1, grid, seed=7)
         assert a == b
+
+    def test_seeded_value_past_one_batch_is_pinned(self):
+        # 3000 reps span two batches, so a change of the batch size, which
+        # reorders the seeded draws, changes this value.
+        q = rt.mc_quantile_oracle(rt.ErrorProcessSpec(1, 1, 1, 0.05), 8, 3000, 0.1,
+                                  TimeGrid.uniform(21), seed=7)
+        assert q == pytest.approx(32.31078915916943, rel=1e-12)
 
     def test_bootstrap_stderr_halves_when_reps_double(self):
         # Quantile sampling error shrinks ~sqrt(2)x when reps double.

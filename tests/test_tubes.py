@@ -9,7 +9,7 @@ from scipy.spatial.transform import Rotation
 import rotubes as rt
 from rotubes import so3
 from rotubes.curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid,
-                            apply_action, apply_action_sample)
+                            apply_action)
 from rotubes.errors import GridMismatch, NoConvergence, SingularCovariance
 from rotubes.tubes import (ConfidenceTube, OverlapReport, _right_jacobian,
                            _right_jacobian_inv, act_on_tube, build_tube,
@@ -78,7 +78,7 @@ class TestHotelling:
             np.stack([0.3 * np.sin(grid_x.t), 0.2 * grid_x.t, 0.1 * grid_x.t ** 2], -1)))
         sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.05),
                                         center, grid_x, 8, 17)
-        acted = apply_action_sample(sample, act, out_grid=grid_y)
+        acted = apply_action(sample, act, out_grid=grid_y)
         acted_center = apply_action(center, act, out_grid=grid_y)
         h_x = tube_ingredients(sample, center=center).h
         h_y = tube_ingredients(acted, center=acted_center).h
