@@ -145,9 +145,8 @@ def _load_sample(args) -> CurveSample:
         manifest = rio.DatasetManifest(
             {label: sorted(glob.glob(os.path.join(label, "*.csv")))},
             args.grid_size, _convention(args))
-    return CurveSample.from_curves([
-        rio.ingest_curve_csv(p, manifest.grid_size, manifest.euler_convention)
-        for p in manifest.sessions[label]])
+    return rio.ingest_curve_csv(manifest.sessions[label], manifest.grid_size,
+                                manifest.euler_convention)
 
 
 def _cmd_simulate(args) -> int:

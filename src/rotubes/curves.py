@@ -234,8 +234,12 @@ def _interpolate_many(t: np.ndarray, values: np.ndarray, s: np.ndarray) -> np.nd
     if np.any((s < 0.0) | (s > 1.0)):
         raise ValueError("interpolation parameter outside [0, 1]")
     k, u = _bracket(t, s)
-    R0 = values[..., k, :, :]
-    R1 = values[..., k + 1, :, :]
+    return _geodesic(values[..., k, :, :], values[..., k + 1, :, :], u)
+
+
+def _geodesic(R0: np.ndarray, R1: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Rotations the fraction u along the geodesics from stacked R0 to R1; u has
+    the trailing stack shape of R0 or all of it."""
     step = so3.log_so3(np.swapaxes(R0, -1, -2) @ R1, validate=False)
     out = R0 @ so3.exp_so3(u[..., None] * step)
     # Exact values at grid points, including the right endpoint.

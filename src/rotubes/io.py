@@ -18,7 +18,8 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from . import so3
-from .curves import RotationCurve, SpatioTemporalAction, TimeGrid, _interpolate_many
+from .curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid, _bracket,
+                     _geodesic)
 from .errors import (InvalidRotation, NonMonotoneTime, NonRotationRow, ParseError,
                      SingularCovariance)
 from .simulation import CoverageReport
@@ -89,83 +90,153 @@ class DatasetManifest:
             raise ParseError(f"{path}: bad manifest field ({exc})") from exc
 
 
-def _parse_numeric_rows(path: str) -> list[tuple[int, list[float]]]:
-    """(line_number, floats) per data row; '#' comments and one header allowed."""
+def _read_lines(path: str) -> list[str]:
+    """The file's lines, read as UTF-8 text after an optional byte-order mark."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _parse_numeric_rows(path: str) -> np.ndarray:
+    """Data rows as one table: each row's line number, then its fields.
+
+    Blank lines, '#' comment lines and one header line (the first other line,
+    if a field of it is not a number) are skipped; one np.loadtxt call reads
+    the rest, which must be at least 2 rows of 4 or 10 finite numbers.
+    Wherever that fails, or loadtxt might read differently from float() per
+    field, the line scanner reads the lines again and raises the located error.
+    """
+    lines = _read_lines(path)
+    data = [(lineno, text) for lineno, line in enumerate(lines, start=1)
+            if (text := line.strip()) and not text.startswith("#")]
+    if data and _is_header(data[0][1]):
+        data = data[1:]
+    if len(data) >= 2:
+        try:
+            table = np.loadtxt([text for _, text in data], delimiter=",", comments=None,
+                               ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if table.shape[1] in (4, 10) and np.isfinite(table).all():
+                return np.column_stack([[lineno for lineno, _ in data], table])
+    return _scan_numeric_rows(path, lines)
+
+
+def _is_header(text: str) -> bool:
+    try:
+        for f in text.split(","):
+            float(f)
+    except ValueError:
+        return True
+    return False
+
+
+def _scan_numeric_rows(path: str, lines: list[str]) -> np.ndarray:
+    """_parse_numeric_rows line by line, float() per field; raises on the first bad
+    line, then on too few rows or on widths other than 4 or 10 throughout."""
     rows = []
     header_allowed = True
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        fields = text.split(",")
+        try:
+            values = [float(f) for f in fields]     # float() strips whitespace itself
+        except ValueError:
+            if header_allowed:
+                header_allowed = False
                 continue
-            fields = text.split(",")
-            try:
-                values = [float(f) for f in fields]     # float() strips whitespace itself
-            except ValueError:
-                if header_allowed:
-                    header_allowed = False
-                    continue
-                for i, f in enumerate(fields):
-                    try:
-                        float(f)
-                    except ValueError:
-                        raise ParseError(f"{path}:{lineno}: field {i + 1} is not numeric: "
-                                         f"{f.strip()!r}")
-            header_allowed = False
-            if not all(map(math.isfinite, values)):
-                bad = next(i for i, v in enumerate(values) if not math.isfinite(v))
-                raise ParseError(f"{path}:{lineno}: field {bad + 1} is not finite")
-            rows.append((lineno, values))
+            for i, f in enumerate(fields):
+                try:
+                    float(f)
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: field {i + 1} is not numeric: "
+                                     f"{f.strip()!r}")
+        header_allowed = False
+        if not all(map(math.isfinite, values)):
+            bad = next(i for i, v in enumerate(values) if not math.isfinite(v))
+            raise ParseError(f"{path}:{lineno}: field {bad + 1} is not finite")
+        rows.append([lineno, *values])
     if len(rows) < 2:
         raise ParseError(f"{path}: need at least 2 data rows, found {len(rows)}")
-    return rows
+    widths = sorted({len(row) - 1 for row in rows})
+    if widths not in ([4], [10]):
+        raise ParseError(f"{path}: rows must have 4 or 10 fields uniformly, "
+                         f"found widths {widths}")
+    return np.array(rows)
 
 
-def ingest_curve_csv(path: str, grid_size: int,
-                     convention: EulerConvention | None = None) -> RotationCurve:
-    """Read one curve file and resample it onto the uniform unit-time grid.
+def ingest_curve_csv(paths: str | list[str], grid_size: int,
+                     convention: EulerConvention | None = None) -> RotationCurve | CurveSample:
+    """Read curve files and resample them onto the uniform unit-time grid.
 
-    Two row schemas are accepted: "t,r11,...,r33" (row-major matrix entries)
-    and "t,angle1,angle2,angle3" (degrees, factored per `convention`).
-    Matrix rows with orthogonality error in (1e-9, 1e-3] are projected onto
-    the rotation group; rows beyond that are rejected.  Times are min-max
-    normalized to [0, 1] and must be strictly increasing.
+    A path gives a RotationCurve; a list of paths, one session, gives a
+    CurveSample.  Two row schemas are accepted: "t,r11,...,r33" (row-major
+    matrix entries) and "t,angle1,angle2,angle3" (degrees, factored per
+    `convention`).  Matrix rows with orthogonality error in (1e-9, 1e-3] are
+    projected onto the rotation group; rows beyond that are rejected.  Times
+    are min-max normalized to [0, 1] and must be strictly increasing.  Each
+    file is checked in full before the next, so the first bad file raises;
+    the session is then converted, repaired and resampled in one stacked pass.
     """
     convention = convention or EulerConvention()
-    rows = _parse_numeric_rows(path)
-    widths = {len(vals) for _, vals in rows}
-    if widths == {10}:
-        values = _matrix_rows(path, rows)
-    elif widths == {4}:
-        angles = np.array([vals[1:] for _, vals in rows])
-        values = Rotation.from_euler(convention.scipy_seq, angles, degrees=True).as_matrix()
-    else:
-        raise ParseError(f"{path}: rows must have 4 or 10 fields uniformly, "
-                         f"found widths {sorted(widths)}")
+    single = isinstance(paths, (str, os.PathLike))
+    files = [_checked_rows(p) for p in ([paths] if single else paths)]
+    if not files:
+        raise ValueError("empty sample")
+    values = _session_rotations(files, convention)
+    grid = TimeGrid.uniform(grid_size)
+    k, u = map(np.stack, zip(*(_bracket(unit, grid.t) for _, unit, _ in files)))
+    k += np.cumsum([0] + [len(rows) for rows, _, _ in files[:-1]])[:, None]
+    resampled = _geodesic(values[k], values[k + 1], u)
+    return RotationCurve(grid, resampled[0]) if single else CurveSample(grid, resampled)
 
-    times = np.array([vals[0] for _, vals in rows])
+
+def _checked_rows(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One file's table, normalized times and flags of the matrix rows to
+    repair, after the rotation-row and time-stamp checks."""
+    rows = _parse_numeric_rows(path)
+    repair = np.zeros(len(rows), bool)
+    if rows.shape[1] == 11:
+        ok, orth_err, det = so3._rotation_test(rows[:, 2:].reshape(-1, 3, 3))
+        bad = (orth_err > _PROJECTABLE_ORTH_ERR) | (det <= 0.0)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise NonRotationRow(f"{path}:{int(rows[k, 0])}: orthogonality error "
+                                 f"{orth_err[k]:.2e} or non-positive determinant; "
+                                 f"not repairable")
+        repair = ~ok
+
+    times = rows[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):
         unit = (times - times[0]) / (times[-1] - times[0])
         # Increasing stamps can still collapse (underflow) or overflow once normalized.
         for stamps, what in ((times, "time stamps"), (unit, "normalized time stamps")):
             stuck = ~(np.diff(stamps) > 0)
             if np.any(stuck):
-                raise NonMonotoneTime(f"{path}:{rows[int(np.argmax(stuck)) + 1][0]}: "
+                raise NonMonotoneTime(f"{path}:{int(rows[int(np.argmax(stuck)) + 1, 0])}: "
                                       f"{what} must be strictly increasing")
-    grid = TimeGrid.uniform(grid_size)
-    return RotationCurve(grid, _interpolate_many(unit, values, grid.t))
+    return rows, unit, repair
 
 
-def _matrix_rows(path: str, rows: list[tuple[int, list[float]]]) -> np.ndarray:
-    values = np.array([vals[1:] for _, vals in rows]).reshape(-1, 3, 3)
-    ok, orth_err, det = so3._rotation_test(values)
-    bad = (orth_err > _PROJECTABLE_ORTH_ERR) | (det <= 0.0)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise NonRotationRow(f"{path}:{rows[k][0]}: orthogonality error {orth_err[k]:.2e} "
-                             f"or non-positive determinant; not repairable")
-    if not np.all(ok):
-        values[~ok] = so3.project_to_so3(values[~ok])
+def _session_rotations(files: list, convention: EulerConvention) -> np.ndarray:
+    """The rotations of all files' rows, stacked: one Euler conversion, one projection."""
+    tables = [rows[:, 2:] for rows, _, _ in files]
+    euler = np.concatenate([np.full(len(t), t.shape[1] == 3) for t in tables])
+    values = np.empty((len(euler), 3, 3))
+    if euler.any():
+        angles = np.concatenate([t for t in tables if t.shape[1] == 3])
+        values[euler] = Rotation.from_euler(convention.scipy_seq, angles,
+                                            degrees=True).as_matrix()
+    if not euler.all():
+        values[~euler] = np.concatenate([t for t in tables if t.shape[1] == 9]).reshape(-1, 3, 3)
+    repair = np.concatenate([repair for _, _, repair in files])
+    if repair.any():
+        values[repair] = so3.project_to_so3(values[repair])
     return values
 
 

@@ -1,12 +1,16 @@
+import importlib.util
 import json
 import os
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
 import rotubes as rt
+from rotubes import cli as rcli
 from rotubes import io as rio
 from rotubes import so3
 from rotubes.cli import cli_main
@@ -170,6 +174,66 @@ class TestIngest:
         path.write_text("# a comment\nt,angle1,angle2,angle3\n0,0,0,0\n1,90,0,0\n")
         curve = rio.ingest_curve_csv(str(path), 3, rio.EulerConvention("xyz"))
         assert len(curve.grid) == 3
+
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        # A BOM glued to the first data row must not turn that row into a header.
+        rows = "0,0,0,0\n1,30,0,0\n2,45,10,0\n3,90,0,5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(rows)
+        marked.write_bytes(b"\xef\xbb\xbf" + rows.encode())
+        expected = rio.ingest_curve_csv(str(plain), 9)
+        assert np.array_equal(rio.ingest_curve_csv(str(marked), 9).values, expected.values)
+
+    def test_text_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("t,\xe4ngle1,angle2,angle3\n0,0,0,0\n1,90,0,0\n".encode("latin-1"))
+        with pytest.raises(ParseError) as info:
+            rio.ingest_curve_csv(str(path), 3)
+        assert str(info.value).startswith(f"{path}: not UTF-8 text")
+        assert cli_main(["tube", "--input", str(tmp_path), "--alpha", "0.05",
+                         "--out", str(tmp_path / "tube.json")]) == 1
+        assert f"error: ParseError: {path}: not UTF-8 text" in capsys.readouterr().err
+
+    def _mixed_session(self, tmp_path):
+        """Matrix and Euler files of different lengths; one matrix row needs repair."""
+        rng = np.random.default_rng(3)
+        paths = []
+        for n, (schema, rows) in enumerate([("matrix", 7), ("euler", 5), ("matrix", 12)]):
+            t = np.sort(rng.uniform(0.0, 4.0, rows))
+            R = smooth_curve(TimeGrid(np.linspace(0.0, 1.0, rows)), 0.5, n).values.copy()
+            if schema == "matrix":
+                R[3] += 1e-6 * rng.standard_normal((3, 3))
+                assert not so3.is_rotation(R[3])
+                body = np.column_stack([t, R.reshape(-1, 9)])
+            else:
+                body = np.column_stack([t, Rotation.from_matrix(R).as_euler("ZXY", degrees=True)])
+            paths.append(str(tmp_path / f"walk{n}.csv"))
+            with open(paths[-1], "w") as fh:
+                fh.write("".join(",".join(map(repr, row)) + "\n" for row in body.tolist()))
+        return paths
+
+    def test_session_list_equals_per_file_ingest(self, tmp_path):
+        paths = self._mixed_session(tmp_path)
+        sample = rio.ingest_curve_csv(paths, 9)
+        expected = CurveSample.from_curves([rio.ingest_curve_csv(p, 9) for p in paths])
+        assert isinstance(sample, CurveSample) and sample.grid == expected.grid
+        assert np.array_equal(sample.values, expected.values)
+
+    def test_session_raises_the_first_bad_files_error(self, tmp_path):
+        paths = self._mixed_session(tmp_path)
+        with open(paths[0]) as fh:
+            lines = fh.read().splitlines()
+        lines[2] = lines[2].split(",")[0] + ",1.1" * 9             # not a rotation
+        with open(paths[0], "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with open(paths[1], "a") as fh:
+            fh.write("9,1,x,3\n")                                   # not numeric
+        with pytest.raises(NonRotationRow) as info:
+            rio.ingest_curve_csv(paths, 9)
+        assert str(info.value).startswith(f"{paths[0]}:3: orthogonality error")
+        with pytest.raises(ParseError) as info:
+            rio.ingest_curve_csv(paths[1:], 9)
+        assert str(info.value) == f"{paths[1]}:6: field 3 is not numeric: 'x'"
 
 
 class TestExportEuler:
@@ -515,6 +579,36 @@ class TestCli:
             [rio.ingest_curve_csv(str(tmp_path / f"walk{n}.csv"), 11) for n in range(5)])
         expected = build_tube(apply_action(ingested, act), 0.05)
         assert json.load(open(out)) == rio.tube_to_dict(expected)
+
+    def test_bench_sessions_hooks_fire(self, tmp_path, monkeypatch, capsys):
+        # bench/run.py --trace 1 exits 2 when a sessions hook never fires; the
+        # pipeline must keep reaching every traced function, once per file parsed.
+        def bench_module(name):
+            path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+            spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+            module = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, spec.name, module)    # dataclasses look it up
+            spec.loader.exec_module(module)
+            return module
+
+        fixtures, tracing = bench_module("fixtures"), bench_module("tracing")
+        expected_hooks = bench_module("run").EXPECTED_HOOKS["sessions"]
+        spec = next(p for p in fixtures.PAIR_MIX if p.aligned and p.schema == "matrix")
+        pair = fixtures.write_pair(str(tmp_path / "pairs"), 0, spec, 5, 0)
+        ta, tb, out = (str(tmp_path / name) for name in ("a.json", "b.json", "loci.json"))
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            for argv in (["tube", "--input", pair.dir_a, "--alpha", "0.05", "--out", ta],
+                         ["tube", "--input", pair.dir_b, "--alpha", "0.05", "--out", tb],
+                         ["compare", "--tube-a", ta, "--tube-b", tb, "--out", out,
+                          "--alignment", pair.alignment]):
+                assert rcli.cli_main(argv) == 0                    # through the rebound name
+        finally:
+            tracer.uninstall()
+        assert [h for h in expected_hooks if tracer.calls_of(h) == 0] == []
+        assert tracer.calls_of("io.ingest.parse") == 2 * spec.n
+        assert tracer.points_of("io.ingest.parse") == 2 * spec.n * spec.rows
 
     def test_export_euler_command(self, tmp_path):
         curve = smooth_curve(TimeGrid.uniform(9))

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rotubes as rt
@@ -190,3 +190,69 @@ class TestHostileRecords:
         else:
             path.write_text(json.dumps(document))
         _loads_or_names_the_file(RECORDS[kind][1], path)
+
+
+# CSV text: rows of one width (ragged ones too in messy files), numbers with
+# spaces around them, an optional header anywhere, '#' lines (indented too),
+# blank lines and mixed line endings.  Messy files also hold tokens that
+# float() and np.loadtxt may read differently, or that neither reads.
+csv_number = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+              | st.integers(-10 ** 20, 10 ** 20).map(str)
+              | st.sampled_from(["1e5", "-0", ".5", "+7", "1E-3", "1e400"]))
+csv_odd = st.sampled_from(["nan", "inf", "-Infinity", "1_0", "x", "", "1#2", "0x10", "١",
+                           "1 2", '"3"', "1,", "\x0c4"])
+csv_pad = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def csv_texts(draw):
+    defects = draw(st.sampled_from([(), (), ("ragged",), ("inline",), ("odd",),
+                                    ("ragged", "inline", "odd")]))
+    ragged, inline, odd = ("ragged" in defects, "inline" in defects, "odd" in defects)
+    widths = st.sampled_from([4, 4, 10, 1, 3])
+    width = draw(widths)
+    field = st.builds(lambda a, v, b: a + v + b, csv_pad,
+                      csv_number | csv_odd if odd else csv_number, csv_pad)
+    lines = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "comment"]))
+        if kind == "row":
+            w = draw(widths) if ragged and draw(st.booleans()) else width
+            line = ",".join(draw(st.lists(field, min_size=w, max_size=w)))
+            if inline and draw(st.booleans()):
+                line += " # inline"
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t"]))
+        else:
+            line = draw(st.sampled_from(["# t,r11", "  # indented", "#", "\t#x,1"]))
+        lines.append(line)
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["t,a,b,c", "time, x", "t", "t,1"])))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+
+
+def _rows_or_message(parse):
+    try:
+        return parse()
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestCsvParse:
+    @settings(max_examples=500)
+    @given(text=csv_texts())
+    @example(text="# t,a,b,c\r\nt,a,b,c\r\n\r\n 0, 1.5 ,2,3\r\n  # mid\r\n1,2,3,4\r\n")
+    @example(text="0,1_0,2,3\n1,2,3,4\n")
+    @example(text="0,1,2,3\n")
+    @example(text="0,1,2,3\n1,2,3,4 # inline\n")
+    def test_fast_path_agrees_with_line_scanner(self, record_dir, text):
+        path = str(record_dir / "rows.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        fast = _rows_or_message(lambda: rio._parse_numeric_rows(path))
+        scanned = _rows_or_message(lambda: rio._scan_numeric_rows(path, rio._read_lines(path)))
+        if isinstance(fast, str) or isinstance(scanned, str):
+            assert fast == scanned
+        else:
+            assert fast.dtype == scanned.dtype and np.array_equal(fast, scanned)
