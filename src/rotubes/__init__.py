@@ -5,12 +5,11 @@ from .curves import (CurveSample, ResidualField, RotationCurve, SpatioTemporalAc
                      residuals)
 from .errors import (DegenerateMean, GridMismatch, InvalidDof, InvalidRotation,
                      NoConvergence, NonMonotoneBracket, NonMonotoneTime, NonRotationRow,
-                     NonSkewInput, NoRoot, ParseError, RotubesError, SingularCovariance,
-                     ZeroResidualColumn)
+                     NoRoot, ParseError, RotubesError, SingularCovariance, ZeroResidualColumn)
 from .gkf import EcContext, expected_ec, lkc_estimate, solve_quantile
 from .simulation import (CoverageReport, ErrorProcessSpec, coverage_experiment,
                          mc_quantile_oracle, sample_gp_sample)
-from .so3 import exp_so3, geodesic_distance, hat, log_so3, project_to_so3, vee
+from .so3 import exp_so3, geodesic_distance, hat, log_so3, project_to_so3
 from .tubes import (ConfidenceTube, OverlapReport, TubeIngredients, act_on_tube,
                     build_tube, compare_tubes, tube_contains, tube_ingredients)
 

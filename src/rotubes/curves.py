@@ -47,7 +47,7 @@ class TimeGrid:
             raise ValueError("grid needs at least 2 points")
         if not (t[0] == 0.0 and t[-1] == 1.0):
             raise ValueError("grid must start at 0 and end at 1")
-        if np.any(np.diff(t) <= 0):
+        if not np.all(np.diff(t) > 0):          # NaN fails too
             raise ValueError("grid must be strictly increasing")
         object.__setattr__(self, "t", _freeze(t))
 
@@ -103,21 +103,9 @@ class CurveSample:
         so3.check_rotation(v)
         object.__setattr__(self, "values", _freeze(v))
 
-    @classmethod
-    def from_curves(cls, curves: list[RotationCurve]) -> "CurveSample":
-        if not curves:
-            raise ValueError("empty sample")
-        grid = curves[0].grid
-        for c in curves[1:]:
-            _require_same_grid(grid, c.grid, "sample curves")
-        return cls(grid, np.stack([c.values for c in curves]))
-
     @property
     def size(self) -> int:
         return self.values.shape[0]
-
-    def curve(self, n: int) -> RotationCurve:
-        return RotationCurve(self.grid, self.values[n])
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +129,7 @@ class SpatioTemporalAction:
         knots = np.asarray(self.warp_knots, dtype=float)
         if knots.ndim != 2 or knots.shape[1] != 2 or knots.shape[0] < 2:
             raise ValueError("warp_knots must be an (n >= 2, 2) array")
-        if np.any(np.diff(knots[:, 0]) <= 0) or np.any(np.diff(knots[:, 1]) <= 0):
+        if not np.all(np.diff(knots, axis=0) > 0):         # NaN fails too
             raise ValueError("warp knots must be strictly increasing in both coordinates")
         if not (knots[0, 0] == 0.0 and knots[0, 1] == 0.0
                 and knots[-1, 0] == 1.0 and knots[-1, 1] == 1.0):
@@ -156,16 +144,6 @@ class SpatioTemporalAction:
 
     def warp(self, t: np.ndarray) -> np.ndarray:
         return np.interp(t, self.warp_knots[:, 0], self.warp_knots[:, 1])
-
-    def compose(self, first: "SpatioTemporalAction") -> "SpatioTemporalAction":
-        """Action equal to applying `first`, then self."""
-        # (P2, Q2, w2) o (P1, Q1, w1): curve -> P2 P1 curve(w1(w2(t))) Q1 Q2.
-        # u also holds the preimages under self's warp of first's knots.
-        pre = np.interp(first.warp_knots[:, 0], self.warp_knots[:, 1], self.warp_knots[:, 0])
-        u = np.union1d(self.warp_knots[:, 0], pre)
-        v = first.warp(self.warp(u))
-        return SpatioTemporalAction(self.p @ first.p, first.q @ self.q,
-                                    np.column_stack([u, v]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,17 +204,6 @@ def _bracket(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k, (s - t[k]) / (t[k + 1] - t[k])
 
 
-def _interpolate_many(t: np.ndarray, values: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Geodesic interpolation of rotations values[..., k, :, :] taken at times
-    t[k] (one curve, or a stack of curves on one grid), at stacked parameters
-    s in [0, 1]; result shape values.shape[:-3] + s.shape + (3, 3)."""
-    s = np.asarray(s, dtype=float)
-    if np.any((s < 0.0) | (s > 1.0)):
-        raise ValueError("interpolation parameter outside [0, 1]")
-    k, u = _bracket(t, s)
-    return _geodesic(values[..., k, :, :], values[..., k + 1, :, :], u)
-
-
 def _geodesic(R0: np.ndarray, R1: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Rotations the fraction u along the geodesics from stacked R0 to R1; u has
     the trailing stack shape of R0 or all of it."""
@@ -253,7 +220,8 @@ def apply_action(curves: RotationCurve | CurveSample, act: SpatioTemporalAction,
     """Curve t -> P curve(warp(t)) Q on out_grid (default: own grid); a CurveSample
     is acted on curve by curve, in one stacked interpolation, and stays a sample."""
     grid = curves.grid if out_grid is None else out_grid
-    vals = _interpolate_many(curves.grid.t, curves.values, act.warp(grid.t))
+    k, u = _bracket(curves.grid.t, act.warp(grid.t))
+    vals = _geodesic(curves.values[..., k, :, :], curves.values[..., k + 1, :, :], u)
     return type(curves)(grid, act.p @ vals @ act.q)
 
 

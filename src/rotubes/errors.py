@@ -7,10 +7,6 @@ class RotubesError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class NonSkewInput(RotubesError):
-    """Matrix handed to vee() violates skew symmetry beyond tolerance."""
-
-
 class InvalidRotation(RotubesError):
     """Matrix fails the rotation invariants (orthogonality or determinant)."""
 

@@ -203,7 +203,7 @@ def _checked_rows(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     repair = np.zeros(len(rows), bool)
     if rows.shape[1] == 11:
         ok, orth_err, det = so3._rotation_test(rows[:, 2:].reshape(-1, 3, 3))
-        bad = (orth_err > _PROJECTABLE_ORTH_ERR) | (det <= 0.0)
+        bad = ~((orth_err <= _PROJECTABLE_ORTH_ERR) & (det > 0.0))      # NaN is bad too
         if np.any(bad):
             k = int(np.argmax(bad))
             raise NonRotationRow(f"{path}:{int(rows[k, 0])}: orthogonality error "
@@ -293,7 +293,7 @@ def _require_floats(data: dict, key: str, path: str, default=None) -> np.ndarray
     """
     value = _require(data, key, path) if default is None else data.get(key, default)
     floats = np.array(value, dtype=float)
-    if not all(type(v) in (int, float) for v in np.array(value, dtype=object).flat):
+    if not set(map(type, np.array(value, dtype=object).flat)) <= {int, float}:
         raise ParseError(f"{path}: field {key!r} must hold JSON numbers only")
     return floats
 

@@ -349,7 +349,8 @@ def test_two_session_difference_localization(tmp_path):
         directory.mkdir()
         sample, _ = rt.sample_gp_sample(spec, center, grid, 12, seed)
         for n in range(12):
-            rio.write_curve_csv(str(directory / f"walk{n:02d}.csv"), sample.curve(n))
+            rio.write_curve_csv(str(directory / f"walk{n:02d}.csv"),
+                                RotationCurve(grid, sample.values[n]))
 
     tube_a, tube_b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     out = str(tmp_path / "loci.json")

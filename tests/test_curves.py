@@ -6,7 +6,7 @@ from scipy.spatial.transform import Rotation
 import rotubes as rt
 from rotubes import so3
 from rotubes.curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid,
-                            _interpolate_many, apply_action, curve_length, length_loss,
+                            _bracket, _geodesic, apply_action, curve_length, length_loss,
                             pointwise_extrinsic_mean, residuals)
 from rotubes.errors import GridMismatch
 
@@ -17,6 +17,12 @@ def smooth_curve(grid, amp=0.4, phase=0.0):
                      0.5 * amp * t * t,
                      0.3 * amp * np.cos(3.0 * t)], axis=-1)
     return RotationCurve(grid, so3.exp_so3(path))
+
+
+def interpolate(curve, s):
+    """Geodesic interpolation of the curve at times s, as apply_action does it."""
+    k, u = _bracket(curve.grid.t, s)
+    return _geodesic(curve.values[k], curve.values[k + 1], u)
 
 
 class TestTimeGrid:
@@ -44,17 +50,11 @@ class TestCurveTypes:
         with pytest.raises(rt.InvalidRotation):
             RotationCurve(grid, bad)
 
-    def test_sample_requires_shared_grid(self):
-        c1 = RotationCurve.identity(TimeGrid.uniform(4))
-        c2 = RotationCurve.identity(TimeGrid.uniform(5))
-        with pytest.raises(GridMismatch):
-            CurveSample.from_curves([c1, c2])
-
 
 class TestPointwiseExtrinsicMean:
     def test_single_curve_is_fixed_point(self):
         curve = smooth_curve(TimeGrid.uniform(9))
-        mean = pointwise_extrinsic_mean(CurveSample.from_curves([curve]))
+        mean = pointwise_extrinsic_mean(CurveSample(curve.grid, np.stack([curve.values])))
         assert np.abs(mean.values - curve.values).max() <= 1e-12
 
     def test_symmetric_pair_averages_to_identity(self):
@@ -62,7 +62,7 @@ class TestPointwiseExtrinsicMean:
         theta = 0.3
         plus = RotationCurve(grid, np.tile(so3.exp_so3([theta, 0, 0]), (5, 1, 1)))
         minus = RotationCurve(grid, np.tile(so3.exp_so3([-theta, 0, 0]), (5, 1, 1)))
-        mean = pointwise_extrinsic_mean(CurveSample.from_curves([plus, minus]))
+        mean = pointwise_extrinsic_mean(CurveSample(grid, np.stack([plus.values, minus.values])))
         assert np.abs(mean.values - np.eye(3)).max() <= 1e-12
 
     def test_matches_brute_force_minimizer(self):
@@ -82,7 +82,7 @@ class TestPointwiseExtrinsicMean:
     def test_equivariance_under_rotations(self):
         rng = np.random.default_rng(22)
         grid = TimeGrid.uniform(7)
-        sample = CurveSample.from_curves([smooth_curve(grid, 0.3, p) for p in range(5)])
+        sample = CurveSample(grid, np.stack([smooth_curve(grid, 0.3, p).values for p in range(5)]))
         P, Q = Rotation.random(2, rng=rng).as_matrix()
         acted = CurveSample(grid, P @ sample.values @ Q)
         lhs = pointwise_extrinsic_mean(acted).values
@@ -108,7 +108,7 @@ class TestPointwiseExtrinsicMean:
 class TestResiduals:
     def test_identical_curves_zero_residuals(self):
         curve = smooth_curve(TimeGrid.uniform(6))
-        sample = CurveSample.from_curves([curve] * 3)
+        sample = CurveSample(curve.grid, np.stack([curve.values] * 3))
         res = residuals(sample, center=curve)
         assert np.abs(res.sample).max() <= 1e-12
         assert np.abs(res.population).max() <= 1e-12
@@ -140,7 +140,8 @@ class TestResiduals:
         assert err < 0.1 * sigma
 
     def test_grid_mismatch(self):
-        sample = CurveSample.from_curves([smooth_curve(TimeGrid.uniform(4))] * 2)
+        curve = smooth_curve(TimeGrid.uniform(4))
+        sample = CurveSample(curve.grid, np.stack([curve.values] * 2))
         with pytest.raises(GridMismatch):
             residuals(sample, center=RotationCurve.identity(TimeGrid.uniform(5)))
 
@@ -158,38 +159,6 @@ class TestActions:
         out = apply_action(curve, act)
         assert np.abs(out.values - curve.values).max() <= 1e-14
 
-    def test_composition_matches_sequential_application(self):
-        # Evaluate on pulled-back grids so every interpolation lands exactly
-        # on stored values; the comparison is then interpolation-free.
-        rng = np.random.default_rng(30)
-        grid = TimeGrid.uniform(41)
-        P1, Q1, P2, Q2 = Rotation.random(4, rng=rng).as_matrix()
-        act1 = SpatioTemporalAction(P1, Q1, np.array([[0.0, 0.0], [0.3, 0.45], [1.0, 1.0]]))
-        act2 = SpatioTemporalAction(P2, Q2, np.array([[0.0, 0.0], [0.6, 0.5], [1.0, 1.0]]))
-        composed = act2.compose(act1)
-        grid_mid = TimeGrid(act2.warp(grid.t))
-        grid_src = TimeGrid(act1.warp(grid_mid.t))
-        curve = smooth_curve(grid_src)
-        sequential = apply_action(apply_action(curve, act1, grid_mid), act2, grid)
-        direct = apply_action(curve, composed, grid)
-        assert np.abs(sequential.values - direct.values).max() <= 1e-9
-        # Warp composition itself is exact.
-        tt = np.linspace(0.0, 1.0, 97)
-        assert np.abs(act1.warp(act2.warp(tt)) - composed.warp(tt)).max() <= 1e-15
-
-    def test_composition_reduces_interpolation_error(self):
-        # Same-grid route: double interpolation differs from the composed
-        # action only at discretization scale.
-        rng = np.random.default_rng(31)
-        grid = TimeGrid.uniform(201)
-        curve = smooth_curve(grid)
-        P1, Q1, P2, Q2 = Rotation.random(4, rng=rng).as_matrix()
-        act1 = SpatioTemporalAction(P1, Q1, np.array([[0.0, 0.0], [0.3, 0.45], [1.0, 1.0]]))
-        act2 = SpatioTemporalAction(P2, Q2, np.array([[0.0, 0.0], [0.6, 0.5], [1.0, 1.0]]))
-        sequential = apply_action(apply_action(curve, act1), act2)
-        direct = apply_action(curve, act2.compose(act1))
-        assert np.abs(sequential.values - direct.values).max() <= 1e-3
-
     def test_warp_validation(self):
         with pytest.raises(ValueError):
             SpatioTemporalAction(np.eye(3), np.eye(3), np.array([[0.0, 0.0], [0.9, 1.0]]))
@@ -202,14 +171,14 @@ class TestInterpolation:
     def test_exact_at_grid_points(self):
         curve = smooth_curve(TimeGrid.uniform(13))
         for k, t in enumerate(curve.grid.t):
-            got = _interpolate_many(curve.grid.t, curve.values, np.array([t]))[0]
+            got = interpolate(curve, np.array([t]))[0]
             assert np.array_equal(got, curve.values[k])
 
     def test_geodesic_bisection(self):
         grid = TimeGrid([0.0, 1.0])
         theta = 0.8
         curve = RotationCurve(grid, np.stack([np.eye(3), so3.exp_so3([theta, 0, 0])]))
-        mid = _interpolate_many(curve.grid.t, curve.values, np.array([0.5]))[0]
+        mid = interpolate(curve, np.array([0.5]))[0]
         assert np.allclose(mid, so3.exp_so3([theta / 2.0, 0, 0]), atol=1e-12)
 
     def test_quadratic_error_decay(self):
@@ -224,7 +193,7 @@ class TestInterpolation:
         for k in (26, 51, 101, 201):
             grid = TimeGrid.uniform(k)
             curve = RotationCurve(grid, so3.exp_so3(path(grid.t)))
-            got = _interpolate_many(curve.grid.t, curve.values, s)
+            got = interpolate(curve, s)
             errs[k] = so3.geodesic_distance(got, truth).max()
         for k in (26, 51, 101):
             ratio = errs[k] / errs[2 * k - 1]

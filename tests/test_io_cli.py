@@ -115,6 +115,18 @@ class TestIngest:
         with pytest.raises(NonRotationRow):
             rio.ingest_curve_csv(str(path), 3)
 
+    def test_overflowing_matrix_row_rejected_without_warnings(self, tmp_path):
+        # Its Gram error and determinant overflow to NaN; the row is not repairable.
+        path = tmp_path / "huge.csv"
+        eye = "1,0,0,0,1,0,0,0,1"
+        huge = "1.7e308,-1.7e308,-1.7e308,-1.7e308,-1.7e308,1.7e308,1.7e308,1.7e308,1.7e308"
+        path.write_text(f"0,{eye}\n0.5,{huge}\n1,{eye}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonRotationRow) as info:
+                rio.ingest_curve_csv(str(path), 3)
+        assert str(info.value).startswith(f"{path}:2:")
+
     def test_parse_error_diagnostics(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# comment\nt,a,b,c\n0,1,2,3\n0.5,1,x,3\n")
@@ -215,7 +227,8 @@ class TestIngest:
     def test_session_list_equals_per_file_ingest(self, tmp_path):
         paths = self._mixed_session(tmp_path)
         sample = rio.ingest_curve_csv(paths, 9)
-        expected = CurveSample.from_curves([rio.ingest_curve_csv(p, 9) for p in paths])
+        expected = CurveSample(TimeGrid.uniform(9),
+                               np.stack([rio.ingest_curve_csv(p, 9).values for p in paths]))
         assert isinstance(sample, CurveSample) and sample.grid == expected.grid
         assert np.array_equal(sample.values, expected.values)
 
@@ -329,6 +342,27 @@ class TestRecords:
             assert str(path) in str(info.value)
         assert "t = 0.5000" in str(info.value)
 
+    def test_nan_grid_time_names_the_file(self, tmp_path):
+        # Python's json reads a bare NaN; a grid holding one is not increasing.
+        grid = TimeGrid.uniform(5)
+        record = rio.tube_to_dict(build_tube(rt.sample_gp_sample(
+            rt.ErrorProcessSpec(1, 1, 1, 0.05), smooth_curve(grid), grid, 5, 8)[0], 0.05))
+        record["grid"][2] = float("nan")
+        path = tmp_path / "nan_grid.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(ParseError, match="bad tube record") as info:
+            rio.tube_from_json(str(path))
+        assert str(path) in str(info.value)
+
+    def test_nan_warp_knot_names_the_file(self, tmp_path):
+        record = rio.action_to_dict(SpatioTemporalAction.identity())
+        record["warp"] = [[0.0, 0.0], [float("nan"), 0.5], [1.0, 1.0]]
+        path = tmp_path / "nan_warp.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(ParseError, match="bad alignment record") as info:
+            rio.action_from_json(str(path))
+        assert str(path) in str(info.value)
+
     def test_action_file_roundtrip(self, tmp_path):
         act = SpatioTemporalAction(
             Rotation.random(rng=np.random.default_rng(1)).as_matrix(),
@@ -421,7 +455,7 @@ class TestRecords:
 class TestManifestAlignment:
     def test_identity_action_keeps_sample(self):
         grid = TimeGrid.uniform(9)
-        sample = CurveSample.from_curves([smooth_curve(grid, 0.3, p) for p in range(4)])
+        sample = CurveSample(grid, np.stack([smooth_curve(grid, 0.3, p).values for p in range(4)]))
         out = apply_action(sample, SpatioTemporalAction.identity())
         assert np.abs(out.values - sample.values).max() == 0.0
 
@@ -430,13 +464,15 @@ class TestManifestAlignment:
         # for bit, also where warped points fall on grid points (t = 0, 0.5, 1).
         grid_x = TimeGrid.uniform(21)
         grid_y = TimeGrid.uniform(41)
-        sample = CurveSample.from_curves([smooth_curve(grid_x, 0.3, p) for p in range(5)])
+        sample = CurveSample(grid_x,
+                             np.stack([smooth_curve(grid_x, 0.3, p).values for p in range(5)]))
         act = SpatioTemporalAction(so3.exp_so3([0.1, -0.2, 0.05]), so3.exp_so3([0.0, 0.3, 0.1]),
                                    np.array([[0.0, 0.0], [0.4, 0.5], [1.0, 1.0]]))
         acted = apply_action(sample, act, out_grid=grid_y)
         assert acted.grid == grid_y
         for n in range(sample.size):
-            expected = rt.apply_action(sample.curve(n), act, out_grid=grid_y).values
+            curve = RotationCurve(sample.grid, sample.values[n])
+            expected = rt.apply_action(curve, act, out_grid=grid_y).values
             assert np.array_equal(acted.values[n], expected)
 
     def test_pure_warp_with_grid_knots_keeps_quantile(self):
@@ -480,7 +516,8 @@ class TestCli:
             directory.mkdir()
             sample, _ = rt.sample_gp_sample(spec, center, grid, 6, seed)
             for n in range(6):
-                rio.write_curve_csv(str(directory / f"walk{n}.csv"), sample.curve(n))
+                rio.write_curve_csv(str(directory / f"walk{n}.csv"),
+                                    RotationCurve(grid, sample.values[n]))
         tube_a, tube_b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert self.run("tube", "--input", str(tmp_path / "a"), "--alpha", "0.05",
                         "--grid-size", "21", "--out", tube_a) == 0
@@ -521,7 +558,7 @@ class TestCli:
                                         smooth_curve(grid), grid, 5, 4)
         names = [f"walk{n}.csv" for n in range(5)]
         for n, name in enumerate(names):
-            rio.write_curve_csv(str(tmp_path / name), sample.curve(n))
+            rio.write_curve_csv(str(tmp_path / name), RotationCurve(grid, sample.values[n]))
         manifest = str(tmp_path / "manifest.json")
         rio.atomic_write_json(manifest, {"sessions": {"A": names}, "grid_size": 11})
         by_dir, by_manifest = str(tmp_path / "dir.json"), str(tmp_path / "manifest_tube.json")
@@ -550,7 +587,7 @@ class TestCli:
                                         smooth_curve(grid), grid, 5, 4)
         names = [f"walk{n}.csv" for n in range(5)]
         for n, name in enumerate(names):
-            rio.write_curve_csv(str(tmp_path / name), sample.curve(n))
+            rio.write_curve_csv(str(tmp_path / name), RotationCurve(grid, sample.values[n]))
         manifest = str(tmp_path / "manifest.json")
         rio.atomic_write_json(manifest, {"sessions": {"A": names}, "grid_size": 11})
         data = ([source, manifest, "--session", "A"] if source == "--manifest"
@@ -566,7 +603,8 @@ class TestCli:
         sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.05),
                                         smooth_curve(grid), grid, 5, 6)
         for n in range(5):
-            rio.write_curve_csv(str(tmp_path / f"walk{n}.csv"), sample.curve(n))
+            rio.write_curve_csv(str(tmp_path / f"walk{n}.csv"),
+                                RotationCurve(grid, sample.values[n]))
         act = SpatioTemporalAction(
             Rotation.random(rng=np.random.default_rng(7)).as_matrix(),
             Rotation.random(rng=np.random.default_rng(8)).as_matrix(),
@@ -575,8 +613,8 @@ class TestCli:
         rio.atomic_write_json(align, rio.action_to_dict(act))
         assert self.run("tube", "--input", str(tmp_path), "--alpha", "0.05", "--grid-size",
                         "11", "--alignment", align, "--out", out) == 0
-        ingested = CurveSample.from_curves(
-            [rio.ingest_curve_csv(str(tmp_path / f"walk{n}.csv"), 11) for n in range(5)])
+        ingested = CurveSample(grid, np.stack(
+            [rio.ingest_curve_csv(str(tmp_path / f"walk{n}.csv"), 11).values for n in range(5)]))
         expected = build_tube(apply_action(ingested, act), 0.05)
         assert json.load(open(out)) == rio.tube_to_dict(expected)
 

@@ -1,4 +1,4 @@
-"""The exported surface: every advertised name resolves."""
+"""The exported surface: every advertised name resolves and is used."""
 
 import ast
 import importlib
@@ -35,6 +35,28 @@ def test_package_reexports_are_public_names():
         for alias in node.names:
             assert getattr(rotubes, alias.name) is getattr(module, alias.name)
             assert alias.name in getattr(module, "__all__", [alias.name]), alias.name
+
+
+# Exported for library users although no module of the package calls them.
+KEPT_EXPORTS = {"curve_length", "length_loss", "geodesic_distance", "mc_quantile_oracle"}
+
+
+def test_every_export_is_used_by_the_package():
+    # A re-exported name must be referenced in a package module other than
+    # __init__.  References are read from the syntax tree, so a mention in a
+    # docstring does not count, nor does the def or class statement itself.
+    package = Path(rotubes.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    exported = {alias.name for node in ast.parse(Path(rotubes.__file__).read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(exported - used - KEPT_EXPORTS) == []
 
 
 def test_import_loads_no_pipeline_modules():

@@ -81,8 +81,9 @@ class TestGpSampling:
         grid = TimeGrid.uniform(21)
         center = RotationCurve(grid, rt.exp_so3(
             np.stack([0.3 * grid.t, 0.1 * np.sin(grid.t), grid.t ** 2 * 0.2], -1)))
-        curve = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 1e-12), center, grid,
-                                    1, 0)[0].curve(0)
+        sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 1e-12), center, grid,
+                                        1, 0)
+        curve = RotationCurve(grid, sample.values[0])
         assert np.abs(curve.values - center.values).max() <= 1e-9
 
     def test_second_coordinate_variance_halved_under_mixing(self):
@@ -101,8 +102,8 @@ class TestGpSampling:
         grid = TimeGrid.uniform(31)
         center = RotationCurve.identity(grid)
         spec = rt.ErrorProcessSpec(2, 3, 2, 0.1)
-        c1 = rt.sample_gp_sample(spec, center, grid, 1, 99)[0].curve(0)
-        c2 = rt.sample_gp_sample(spec, center, grid, 1, 99)[0].curve(0)
+        c1 = RotationCurve(grid, rt.sample_gp_sample(spec, center, grid, 1, 99)[0].values[0])
+        c2 = RotationCurve(grid, rt.sample_gp_sample(spec, center, grid, 1, 99)[0].values[0])
         assert np.array_equal(c1.values, c2.values)
 
     def test_generating_path_mixes_coordinates(self):
