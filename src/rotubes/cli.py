@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", help="directory of curve CSV files (all *.csv, sorted)")
     src.add_argument("--manifest", help="dataset manifest JSON")
     tube.add_argument("--session", help="session label (with --manifest)")
-    tube.add_argument("--alpha", type=float, required=True)
+    tube.add_argument("--alpha", type=_alpha, required=True)
     tube.add_argument("--grid-size", type=int)
     tube.add_argument("--euler-axes")
     tube.add_argument("--euler-mode", choices=("intrinsic", "extrinsic"))
@@ -79,13 +79,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _alpha(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 0.5:          # NaN fails too
+        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 0.5], got {text!r}")
+    return value
+
+
 def _alpha_list(text: str) -> list[float]:
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad alpha list {text!r}") from exc
-    if not values or any(not 0.0 < v <= 0.5 for v in values):
-        raise argparse.ArgumentTypeError("alphas must lie in (0, 0.5]")
+    values = [_alpha(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("need at least one alpha")
     return values
 
 

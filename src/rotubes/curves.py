@@ -20,7 +20,6 @@ __all__ = [
     "RotationCurve",
     "CurveSample",
     "SpatioTemporalAction",
-    "ResidualField",
     "pointwise_extrinsic_mean",
     "residuals",
     "apply_action",
@@ -146,36 +145,6 @@ class SpatioTemporalAction:
         return np.interp(t, self.warp_knots[:, 0], self.warp_knots[:, 1])
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualField:
-    """Intrinsic residuals of a sample around its pointwise extrinsic mean.
-
-    sample[n, k] holds the algebra coordinates of mean(t_k)^T curve_n(t_k);
-    population[k], when a center curve was supplied, those of
-    mean(t_k)^T center(t_k).  mean is the mean curve they were taken about.
-    """
-
-    grid: TimeGrid
-    sample: np.ndarray
-    population: np.ndarray | None = None
-    mean: RotationCurve | None = None
-
-    def __post_init__(self):
-        s = np.asarray(self.sample, dtype=float)
-        if s.ndim != 3 or s.shape[1] != len(self.grid) or s.shape[2] != 3:
-            raise ValueError(f"sample residuals must have shape (N, {len(self.grid)}, 3)")
-        object.__setattr__(self, "sample", _freeze(s))
-        if self.population is not None:
-            p = np.asarray(self.population, dtype=float)
-            if p.shape != (len(self.grid), 3):
-                raise ValueError(f"population residuals must have shape ({len(self.grid)}, 3)")
-            object.__setattr__(self, "population", _freeze(p))
-
-    @property
-    def size(self) -> int:
-        return self.sample.shape[0]
-
-
 def pointwise_extrinsic_mean(sample: CurveSample) -> RotationCurve:
     """Projection of the entrywise mean onto SO(3), per grid point.
 
@@ -186,16 +155,21 @@ def pointwise_extrinsic_mean(sample: CurveSample) -> RotationCurve:
     return RotationCurve(sample.grid, so3.project_to_so3(mean))
 
 
-def residuals(sample: CurveSample, center: RotationCurve | None = None) -> ResidualField:
-    """Intrinsic sample (and optionally population) residuals around the mean."""
+def residuals(sample: CurveSample, center: RotationCurve | None = None) -> tuple:
+    """The pointwise extrinsic mean and the intrinsic residuals around it.
+
+    Returns (mean, x, xbar): x[n, k] holds the algebra coordinates of
+    mean(t_k)^T curve_n(t_k), shape (N, K, 3); xbar[k] those of
+    mean(t_k)^T center(t_k), shape (K, 3), or None without a center.
+    """
     pem = pointwise_extrinsic_mean(sample)
     rel = np.einsum("kij,nkil->nkjl", pem.values, sample.values)
-    population = None
+    xbar = None
     if center is not None:
         _require_same_grid(sample.grid, center.grid, "sample and center")
         rel0 = np.einsum("kij,kil->kjl", pem.values, center.values)
-        population = so3.log_so3(rel0, validate=False)
-    return ResidualField(sample.grid, so3.log_so3(rel, validate=False), population, pem)
+        xbar = so3.log_so3(rel0, validate=False)
+    return pem, so3.log_so3(rel, validate=False), xbar
 
 
 def _bracket(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .curves import ResidualField
 from .errors import (InvalidDof, NoConvergence, NonMonotoneBracket, NoRoot,
                      ZeroResidualColumn)
 
@@ -69,14 +68,15 @@ def _ec_densities(t: np.ndarray, n: int) -> tuple:
             (2.0 * np.pi) ** -2.0 * ((n - 2.0) / nu * t * t - 1.0) * base)
 
 
-def lkc_estimate(res: ResidualField) -> float:
-    """Interval LKC from normalized residual increments.
+def lkc_estimate(x: np.ndarray) -> float:
+    """Interval LKC from the normalized increments of residuals x, shape (N, K, 3).
 
     Each residual coordinate d gives a unit vector in R^N per time point;
     summed chord lengths of that path, averaged over the three coordinates,
     estimate the metric length of [0, 1] under the residual process.
     """
-    x = res.sample                                # (N, K, 3)
+    if x.ndim != 3 or x.shape[2] != 3:
+        raise ValueError(f"residuals must have shape (N, K, 3), got {x.shape}")
     norms = np.linalg.norm(x, axis=0)             # (K, 3)
     if np.any(norms == 0.0):
         k, d = np.argwhere(norms == 0.0)[0]

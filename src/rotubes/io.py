@@ -289,12 +289,15 @@ def _require_floats(data: dict, key: str, path: str, default=None) -> np.ndarray
     """Field `key` (or `default` where it is absent) as a float array of JSON numbers.
 
     The float conversion runs first and raises on ragged or non-numeric
-    input; the entries it accepted must then be numbers, not bools or strings.
+    input; the entries it accepted must then be numbers, not bools or strings,
+    and finite (Python's json reads bare NaN and Infinity).
     """
     value = _require(data, key, path) if default is None else data.get(key, default)
     floats = np.array(value, dtype=float)
     if not set(map(type, np.array(value, dtype=object).flat)) <= {int, float}:
         raise ParseError(f"{path}: field {key!r} must hold JSON numbers only")
+    if not np.isfinite(floats).all():
+        raise ValueError(f"field {key!r} must hold finite numbers")
     return floats
 
 

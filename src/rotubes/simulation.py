@@ -161,6 +161,13 @@ def sample_gp_sample(spec: ErrorProcessSpec, center: RotationCurve, grid: TimeGr
     return CurveSample(grid, values), paths
 
 
+def _check_design(n: int, reps: int) -> None:
+    if n < tubes.MIN_CURVES:
+        raise ValueError(f"need n >= {tubes.MIN_CURVES} for an invertible covariance, got {n}")
+    if reps < 1:
+        raise ValueError("need at least one replication")
+
+
 def coverage_experiment(spec: ErrorProcessSpec, n: int, reps: int,
                         alphas: list[float], grid: TimeGrid | None = None,
                         seed: int | tuple = 0) -> CoverageReport:
@@ -172,10 +179,7 @@ def coverage_experiment(spec: ErrorProcessSpec, n: int, reps: int,
     covariance are tolerated as non-covering up to 0.1 percent of reps,
     beyond that the run aborts.
     """
-    if n < tubes.MIN_CURVES:
-        raise ValueError(f"need n >= {tubes.MIN_CURVES} for an invertible covariance, got {n}")
-    if reps < 1:
-        raise ValueError("need at least one replication")
+    _check_design(n, reps)
     grid = grid if grid is not None else TimeGrid.uniform(101)
     alphas = [float(a) for a in alphas]
     center = RotationCurve.identity(grid)
@@ -219,6 +223,7 @@ def mc_quantile_oracle(spec: ErrorProcessSpec, n: int, reps: int, alpha: float,
     mean-centered covariance of the generating process, so it is an
     independent reference for the expected-Euler-characteristic quantile.
     """
+    _check_design(n, reps)
     grid = grid if grid is not None else TimeGrid.uniform(101)
     rng = np.random.default_rng(seed)
     maxima = np.empty(reps)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gkf, so3
-from .curves import (CurveSample, ResidualField, RotationCurve, SpatioTemporalAction,
-                     TimeGrid, _bracket, _require_same_grid, apply_action, residuals)
+from .curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid,
+                     _bracket, _require_same_grid, apply_action, residuals)
 from .errors import NoConvergence, SingularCovariance
 
 __all__ = [
@@ -108,43 +108,33 @@ def _hotelling(n: int, S: np.ndarray, a: np.ndarray) -> np.ndarray:
     return n * np.einsum("ka,ka->k", a, np.linalg.solve(S, a[..., None])[..., 0])
 
 
-def _sample_covariance(res: ResidualField) -> np.ndarray:
-    """Uncentered second-moment matrices (1/(N-1)) sum_n x_n x_n^T per t."""
-    x = res.sample
-    return np.einsum("nka,nkb->kab", x, x) / (res.size - 1)
-
-
 @dataclass(frozen=True, eq=False)
 class TubeIngredients:
-    """Per-sample pieces of a tube: residuals, S, the LKC and, given a center, H."""
+    """Per-sample pieces of a tube: center (the mean curve), S, the LKC and, given a center, H."""
 
-    res: ResidualField
+    center: RotationCurve
     s: np.ndarray
     l1: float
     n: int
     h: np.ndarray | None = None
-
-    @property
-    def center(self) -> RotationCurve:
-        return self.res.mean
 
 
 def tube_ingredients(sample: CurveSample,
                      center: RotationCurve | None = None) -> TubeIngredients:
     """Everything a tube needs except the quantile; raises on singular S.
 
-    With a center curve the population residuals xbar and the Hotelling
-    statistic H_t = N xbar_t^T S_t^{-1} xbar_t are filled in as well.
+    S holds the uncentered second-moment matrices (1/(N-1)) sum_n x_n x_n^T
+    of the residuals per t.  With a center curve the population residuals
+    xbar and the Hotelling statistic H_t = N xbar_t^T S_t^{-1} xbar_t are
+    filled in as well.
     """
     if sample.size < MIN_CURVES:
         raise ValueError(f"need at least {MIN_CURVES} curves, got {sample.size}")
-    res = residuals(sample, center)
-    S = _sample_covariance(res)
+    mean, x, xbar = residuals(sample, center)
+    S = np.einsum("nka,nkb->kab", x, x) / (sample.size - 1)
     _check_spd(S, sample.grid)
-    xbar, h = res.population, None
-    if xbar is not None:
-        h = np.maximum(_hotelling(sample.size, S, xbar), 0.0)
-    return TubeIngredients(res=res, s=S, l1=gkf.lkc_estimate(res), n=sample.size, h=h)
+    h = None if xbar is None else np.maximum(_hotelling(sample.size, S, xbar), 0.0)
+    return TubeIngredients(center=mean, s=S, l1=gkf.lkc_estimate(x), n=sample.size, h=h)
 
 
 def assemble_tube(ing: TubeIngredients, alpha: float) -> ConfidenceTube:

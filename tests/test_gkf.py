@@ -6,7 +6,7 @@ from scipy import integrate
 
 import rotubes as rt
 from rotubes import gkf
-from rotubes.curves import ResidualField, TimeGrid
+from rotubes.curves import TimeGrid
 from rotubes.errors import InvalidDof, NoConvergence, NoRoot, ZeroResidualColumn
 from rotubes.gkf import EcContext, expected_ec, lkc_estimate, solve_quantile
 from rotubes.simulation import _error_paths
@@ -54,33 +54,34 @@ class TestEcDensities:
 
 class TestLkcEstimate:
     def test_time_constant_residuals_give_zero(self):
-        grid = TimeGrid.uniform(7)
         rng = np.random.default_rng(0)
         x = np.repeat(rng.standard_normal((5, 1, 3)), 7, axis=1)
-        assert lkc_estimate(ResidualField(grid, x)) == 0.0
+        assert lkc_estimate(x) == 0.0
 
     def test_scale_invariance(self):
-        grid = TimeGrid.uniform(11)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((6, 11, 3))
-        base = lkc_estimate(ResidualField(grid, x))
-        assert lkc_estimate(ResidualField(grid, 37.5 * x)) == pytest.approx(base,
-                                                                            rel=1e-12)
+        base = lkc_estimate(x)
+        assert lkc_estimate(37.5 * x) == pytest.approx(base, rel=1e-12)
 
     def test_trigonometric_process_analytic_value(self):
         # Unit-variance trigonometric process: derivative sd is pi/2 at all t.
         grid = TimeGrid.uniform(101)
         rng = np.random.default_rng(0)
         a = np.stack([_error_paths(1, 1, grid, rng, (200,)) for _ in range(3)], axis=-1)
-        res = ResidualField(grid, a - a.mean(axis=0, keepdims=True))
-        assert lkc_estimate(res) == pytest.approx(np.pi / 2.0, abs=0.05)
+        x = a - a.mean(axis=0, keepdims=True)
+        assert lkc_estimate(x) == pytest.approx(np.pi / 2.0, abs=0.05)
 
     def test_zero_column_raises(self):
-        grid = TimeGrid.uniform(4)
         x = np.ones((5, 4, 3))
         x[:, 2, 1] = 0.0
         with pytest.raises(ZeroResidualColumn):
-            lkc_estimate(ResidualField(grid, x))
+            lkc_estimate(x)
+
+    def test_residuals_of_the_wrong_shape_are_refused(self):
+        # A (K, 3) array, such as the residuals of a center, is not a sample's.
+        with pytest.raises(ValueError, match=r"shape \(N, K, 3\)"):
+            lkc_estimate(np.ones((4, 3)))
 
 
 class TestExpectedEc:

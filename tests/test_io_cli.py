@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -314,6 +315,22 @@ class TestRecords:
         assert np.array_equal(back.s, tube.s)
         assert back.grid == tube.grid
 
+    def test_seeded_tube_record_is_pinned(self):
+        # One seeded tube, bit for bit: float.hex of the quantile, the LKC and
+        # three S entries, and the sha256 of its indented JSON record.
+        grid = TimeGrid.uniform(21)
+        sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.05),
+                                        RotationCurve.identity(grid), grid, 8, 2026)
+        tube = build_tube(sample, 0.05)
+        assert tube.hquant.hex() == "0x1.ac1455c49a032p+5"
+        assert rt.tube_ingredients(sample).l1.hex() == "0x1.d1bb147489e24p+0"
+        got = [float(tube.s[idx]).hex() for idx in ((0, 0, 0), (10, 0, 1), (20, 2, 2))]
+        assert got == ["0x1.ce62d5b7cb590p-10", "0x1.514572f0d982bp-11",
+                       "0x1.1745fd74338a3p-8"]
+        text = json.dumps(rio.tube_to_dict(tube), indent=1)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "84831e11ce9e3765763c9895feda858b86584fd9f4dd3360fee458c885741032")
+
     def test_bad_tube_records_name_the_file(self, tmp_path):
         # Impossible fields and a singular covariance are both refused at
         # the JSON boundary with the file in the message.
@@ -353,6 +370,19 @@ class TestRecords:
         with pytest.raises(ParseError, match="bad tube record") as info:
             rio.tube_from_json(str(path))
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_covariance_names_file_and_field(self, tmp_path, value):
+        # Python's json writes and reads bare Infinity and NaN.
+        grid = TimeGrid.uniform(5)
+        record = rio.tube_to_dict(build_tube(rt.sample_gp_sample(
+            rt.ErrorProcessSpec(1, 1, 1, 0.05), smooth_curve(grid), grid, 5, 8)[0], 0.05))
+        record["cov_upper"][3][0] = value
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(ParseError, match="bad tube record") as info:
+            rio.tube_from_json(str(path))
+        assert str(path) in str(info.value) and "'cov_upper'" in str(info.value)
 
     def test_nan_warp_knot_names_the_file(self, tmp_path):
         record = rio.action_to_dict(SpatioTemporalAction.identity())
@@ -657,6 +687,31 @@ class TestCli:
                         "--out", out) == 0
         lines = [l for l in open(out).read().splitlines() if not l.startswith("#")]
         assert len(lines) == 9 and len(lines[0].split(",")) == 5
+
+    def test_compare_refuses_an_infinite_covariance(self, tmp_path, capsys):
+        grid = TimeGrid.uniform(5)
+        record = rio.tube_to_dict(build_tube(rt.sample_gp_sample(
+            rt.ErrorProcessSpec(1, 1, 1, 0.05), smooth_curve(grid), grid, 5, 8)[0], 0.05))
+        good, bad = str(tmp_path / "good.json"), str(tmp_path / "bad.json")
+        rio.atomic_write_json(good, record)
+        record["cov_upper"][2][3] = float("inf")
+        Path(bad).write_text(json.dumps(record))
+        out = str(tmp_path / "loci.json")
+        assert self.run("compare", "--tube-a", good, "--tube-b", bad, "--out", out) == 1
+        assert f"{bad}: bad tube record" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("alpha", ["0.7", "0", "nan"])
+    def test_tube_alpha_out_of_range_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                      alpha):
+        # Refused as the arguments are parsed, before any file is read.
+        calls = []
+        monkeypatch.setattr(rio, "ingest_curve_csv", lambda *a, **kw: calls.append(a))
+        capsys.readouterr()
+        assert self.run("tube", "--input", str(tmp_path), "--alpha", alpha,
+                        "--out", str(tmp_path / "t.json")) == 2
+        assert "--alpha" in capsys.readouterr().err
+        assert calls == []
 
     def test_usage_error_exit_code(self):
         assert self.run("tube", "--alpha", "0.05") == 2

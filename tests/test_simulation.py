@@ -231,6 +231,16 @@ class TestMcQuantileOracle:
                                   TimeGrid.uniform(21), seed=7)
         assert q == pytest.approx(32.31078915916943, rel=1e-12)
 
+    @pytest.mark.parametrize("n, reps, what", [(1, 100, "need n >= 4"),
+                                               (2, 100, "need n >= 4"),
+                                               (3, 100, "need n >= 4"),
+                                               (8, 0, "at least one replication")])
+    def test_inputs_it_cannot_answer_are_refused(self, n, reps, what):
+        # n < 4 leaves S singular (NaN or LinAlgError) and reps = 0 has no quantile.
+        with pytest.raises(ValueError, match=what):
+            rt.mc_quantile_oracle(rt.ErrorProcessSpec(1, 1, 1, 0.05), n, reps, 0.1,
+                                  TimeGrid.uniform(11), seed=1)
+
     def test_bootstrap_stderr_halves_when_reps_double(self):
         # Quantile sampling error shrinks ~sqrt(2)x when reps double.
         spec = rt.ErrorProcessSpec(1, 1, 1, 0.05)
