@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.special import cython_special
 
 from .errors import (InvalidDof, NoConvergence, NonMonotoneBracket, NoRoot,
                      ZeroResidualColumn)
@@ -54,7 +55,7 @@ def _gamma_ratio(n: int) -> float:
     return math.exp(special.gammaln(n / 2.0) - special.gammaln((n - 1) / 2.0))
 
 
-def _ec_densities(t: np.ndarray, n: int) -> tuple:
+def _ec_densities(t: float, n: int) -> tuple:
     """EC densities rho_0..rho_3 of a t-process with n - 1 dof, at t.
 
     rho_0 is the upper tail of Student's t (regularized incomplete beta, not
@@ -62,10 +63,10 @@ def _ec_densities(t: np.ndarray, n: int) -> tuple:
     """
     nu = n - 1
     base = (1.0 + t * t / nu) ** (1.0 - n / 2.0)
-    return (special.stdtr(nu, -t),
-            base / (2.0 * np.pi),
-            (2.0 * np.pi) ** -1.5 * _gamma_ratio(n) / math.sqrt(nu / 2.0) * t * base,
-            (2.0 * np.pi) ** -2.0 * ((n - 2.0) / nu * t * t - 1.0) * base)
+    return (cython_special.stdtr(float(nu), -t),
+            base / (2.0 * math.pi),
+            (2.0 * math.pi) ** -1.5 * _gamma_ratio(n) / math.sqrt(nu / 2.0) * t * base,
+            (2.0 * math.pi) ** -2.0 * ((n - 2.0) / nu * t * t - 1.0) * base)
 
 
 def lkc_estimate(x: np.ndarray) -> float:
@@ -87,14 +88,13 @@ def lkc_estimate(x: np.ndarray) -> float:
     return float(increments.sum() / 3.0)
 
 
-def expected_ec(h, ctx: EcContext):
-    """Expected Euler characteristic of the excursion set {t : H_t >= h}.
+def expected_ec(h: float, ctx: EcContext) -> float:
+    """Expected Euler characteristic of {t : H_t >= h}, a float, at a float h >= 0.
 
     Approximates P(max_t H_t > h); equals 1 at h = 0 and decreases to 0.
     """
-    rho0, rho1, rho2, rho3 = _ec_densities(np.sqrt(np.asarray(h, dtype=float)), ctx.n)
-    value = 2.0 * rho0 + 4.0 * np.pi * rho2 + ctx.l1 * (2.0 * rho1 + 4.0 * np.pi * rho3)
-    return value if value.ndim else float(value)
+    rho0, rho1, rho2, rho3 = _ec_densities(math.sqrt(h), ctx.n)
+    return 2.0 * rho0 + 4.0 * math.pi * rho2 + ctx.l1 * (2.0 * rho1 + 4.0 * math.pi * rho3)
 
 
 def solve_quantile(alpha: float, ctx: EcContext) -> float:

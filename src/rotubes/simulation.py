@@ -12,14 +12,17 @@ that var = f_l(t)^2, and a mixing matrix correlates the three algebra
 coordinates.  Curves are drawn as center(t) @ exp(a_t) with a_t the mixed,
 sigma-scaled error vector.
 
-All sampling is keyed off integer seeds through SeedSequence streams indexed
-by (replication, curve, coordinate), so results do not depend on execution
-order and are reproducible bit for bit.
+All sampling is keyed off integer seeds: coordinate d of curve m draws from
+default_rng(SeedSequence(key + (m,), spawn_key=(d,))), so results do not depend
+on execution order.  _keyed_streams restates that seeding for a whole sample in
+one stacked pass; tests/test_simulation.py checks it against numpy bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +49,11 @@ MIXING_MATRICES = {
 _OU_RATE = 5.0
 _BUMP_CENTERS = np.arange(10) / 9.0
 _BUMP_WIDTH = 0.2
+
+# SeedSequence's hash constants (numpy.random.bit_generator), PCG64's multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK, _MASK128 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def modulation(l: int, t: np.ndarray) -> np.ndarray:
@@ -102,8 +110,8 @@ def _error_paths(i: int, l: int, grid: TimeGrid, rng,
     """Stacked error paths of family i, modulation l, shape lead_shape + (K,).
 
     rng is a Generator drawing all paths in one call (step-major for the OU
-    family), or one Generator per path in C order over lead_shape.  A vector
-    draw yields the same numbers as the equivalent run of scalar draws.
+    family), or an iterable of one per path in C order over lead_shape (which
+    may hold a -1).  A vector draw yields the same numbers as scalar draws.
     """
     t = grid.t
     k = t.size
@@ -139,26 +147,63 @@ def _error_paths(i: int, l: int, grid: TimeGrid, rng,
 
 
 def _generating_paths(spec: ErrorProcessSpec, grid: TimeGrid, streams) -> np.ndarray:
-    """Paths a_t, shape (N, K, 3): curve m mixes the sigma-scaled error paths
-    drawn from streams[3m:3m + 3], one per coordinate."""
-    eps = _error_paths(spec.i, spec.l, grid, streams, (len(streams) // 3, 3))
+    """Paths a_t, shape (N, K, 3): curve m mixes the sigma-scaled paths of streams 3m..3m + 2."""
+    eps = _error_paths(spec.i, spec.l, grid, streams, (-1, 3))
     return np.swapaxes(MIXING_MATRICES[spec.j] @ (spec.sigma * eps), -1, -2)
+
+
+def _hashmix(v, c, c_next):
+    """SeedSequence's hashmix under c, advanced to c_next, of Python ints or uint32 arrays."""
+    v = (v ^ c) * c_next & _MASK
+    return v ^ v >> 16
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _MASK) - (_MIX_R * y & _MASK)) & _MASK
+    return r ^ r >> 16
+
+
+def _keyed_streams(key: tuple, n: int):
+    """Yields default_rng(SeedSequence(key + (m,), spawn_key=(d,))) for m < n, d < 3, as
+    one Generator re-stated to each stream's PCG64 state.  Key words that fill the pool
+    are hashed once, as Python ints; m and d as uint32 arrays, one entry per stream."""
+    words = []
+    for v in key:
+        if not isinstance(v, numbers.Integral):
+            raise TypeError("seed must be integer")
+        if v < 0:
+            raise ValueError("expected non-negative integer")
+        words += [int(v) >> s & _MASK for s in range(0, max(int(v).bit_length(), 1), 32)]
+    entropy = words + [np.arange(n, dtype=np.uint32).repeat(3)]     # run entropy: key, m
+    entropy += [0] * (4 - len(entropy)) + [np.tile(np.arange(3, dtype=np.uint32), n)]  # pad, d
+    c = [a := _INIT_A] + [a := a * _MULT_A & _MASK for _ in range(4 * len(entropy))]
+    pool = [_hashmix(w, c[i], c[i + 1]) for i, w in enumerate(entropy[:4])]
+    for k, (src, dst) in enumerate(itertools.permutations(range(4), 2), start=4):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[k], c[k + 1]))
+    pool, c = np.array(pool, np.uint32).reshape(4, -1), np.array(c, np.uint32)[:, None]
+    for k in range(4, len(entropy)):            # each later word into all 4 pool words
+        pool = _mix(pool, _hashmix(entropy[k], c[4 * k:4 * k + 4], c[4 * k + 1:4 * k + 5]))
+    b = np.array([a := _INIT_B] + [a := a * _MULT_B & _MASK for _ in range(8)], np.uint32)
+    out = _hashmix(np.tile(pool, (2, 1)), b[:-1, None], b[1:, None])   # generate_state(4, uint64)
+    gen = np.random.default_rng(0)
+    for w in zip(*out.tolist()):
+        s = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
+        inc = ((w[4] | w[5] << 32) << 65 | (w[6] | w[7] << 32) << 1 | 1) & _MASK128
+        pcg = {"state": ((inc + s) * _PCG_MULT + inc) & _MASK128, "inc": inc}
+        gen.bit_generator.state = dict(bit_generator="PCG64", state=pcg, has_uint32=0, uinteger=0)
+        yield gen
 
 
 def sample_gp_sample(spec: ErrorProcessSpec, center: RotationCurve, grid: TimeGrid,
                      n: int, seed) -> tuple[CurveSample, np.ndarray]:
     """N model curves plus their generating paths, shape (N, K, 3).
 
-    seed is an integer or a key tuple; curve n draws from the substream
-    keyed (seed..., n).
+    seed is an integer or a key tuple of integers; curve m draws from the
+    substreams keyed (seed..., m).
     """
-    key = (seed,) if isinstance(seed, int) else tuple(seed)
-    # spawn_key=(d,) builds SeedSequence(key + (m,)).spawn(3)[d] without the parent.
-    paths = _generating_paths(spec, grid, [
-        np.random.default_rng(np.random.SeedSequence(key + (m,), spawn_key=(d,)))
-        for m in range(n) for d in range(3)])
-    values = center.values @ so3.exp_so3(paths)
-    return CurveSample(grid, values), paths
+    key = (seed,) if isinstance(seed, numbers.Integral) else tuple(seed)
+    paths = _generating_paths(spec, grid, _keyed_streams(key, n))
+    return CurveSample(grid, center.values @ so3.exp_so3(paths)), paths
 
 
 def _check_design(n: int, reps: int) -> None:
@@ -183,7 +228,7 @@ def coverage_experiment(spec: ErrorProcessSpec, n: int, reps: int,
     grid = grid if grid is not None else TimeGrid.uniform(101)
     alphas = [float(a) for a in alphas]
     center = RotationCurve.identity(grid)
-    key = (seed,) if isinstance(seed, int) else tuple(seed)
+    key = (seed,) if isinstance(seed, numbers.Integral) else tuple(seed)
 
     covered = np.zeros((reps, len(alphas)), dtype=bool)
     n_singular = 0
@@ -206,8 +251,8 @@ def coverage_experiment(spec: ErrorProcessSpec, n: int, reps: int,
     stderr = np.sqrt(rates * (1.0 - rates) / reps)
     return CoverageReport(spec=spec, n=n, reps=reps, alphas=tuple(alphas),
                           rates=tuple(float(r) for r in rates),
-                          mc_stderr=tuple(float(s) for s in stderr),
-                          n_singular=n_singular, seed=seed if isinstance(seed, int) else None)
+                          mc_stderr=tuple(float(s) for s in stderr), n_singular=n_singular,
+                          seed=int(seed) if isinstance(seed, numbers.Integral) else None)
 
 
 # Replications per batch of mc_quantile_oracle, part of its seed contract: the

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy import integrate, special
 
 import rotubes as rt
 from rotubes import gkf
@@ -115,6 +117,23 @@ class TestExpectedEc:
                            + ctx.l1 * (2.0 * rho[1] + 4.0 * np.pi * rho[3]))
             assert expected_ec(h, ctx) == combination, h
 
+    @given(h=st.floats(0.0, 1e15), n=st.integers(4, 60), l1=st.floats(0.0, 50.0))
+    @example(h=0.0, n=4, l1=0.0)
+    @example(h=37.0, n=10, l1=4.3)
+    def test_equals_the_array_formula_bit_for_bit(self, h, n, l1):
+        # The formula as it was evaluated on 0-d arrays with the stdtr ufunc;
+        # the scalar evaluation must round the same way everywhere.
+        t = np.sqrt(np.asarray(h, dtype=float))
+        nu = n - 1
+        base = (1.0 + t * t / nu) ** (1.0 - n / 2.0)
+        rho0, rho1 = special.stdtr(nu, -t), base / (2.0 * np.pi)
+        rho2 = (2.0 * np.pi) ** -1.5 * gkf._gamma_ratio(n) / math.sqrt(nu / 2.0) * t * base
+        rho3 = (2.0 * np.pi) ** -2.0 * ((n - 2.0) / nu * t * t - 1.0) * base
+        reference = 2.0 * rho0 + 4.0 * np.pi * rho2 + l1 * (2.0 * rho1 + 4.0 * np.pi * rho3)
+        value = expected_ec(h, EcContext(n, l1))
+        assert type(value) is float
+        assert value == float(reference)
+
 
 class TestSolveQuantile:
     def test_residual_equation_value(self):
@@ -122,6 +141,17 @@ class TestSolveQuantile:
             ctx = EcContext(10, np.pi / 2.0)
             h = solve_quantile(alpha, ctx)
             assert expected_ec(h, ctx) == pytest.approx(alpha, abs=1e-8)
+
+    def test_battery_quantiles_are_pinned(self):
+        # float.hex of solve_quantile(alpha, EcContext(n, 4.3)) at the battery's
+        # alphas and sample sizes.
+        pins = {10: ("0x1.a86928338753cp+4", "0x1.010e38696c40ep+5", "0x1.5cabbc1fd1ca6p+5"),
+                15: ("0x1.0ad6fe5967a4cp+4", "0x1.35a2a742dcee4p+4", "0x1.859ee07f6030cp+4"),
+                30: ("0x1.7e0b0fbd67f40p+3", "0x1.af3dcb7aa4bc0p+3", "0x1.02ba13d4248e0p+4")}
+        for n, expected in pins.items():
+            got = tuple(solve_quantile(alpha, EcContext(n, 4.3)).hex()
+                        for alpha in (0.15, 0.10, 0.05))
+            assert got == expected, n
 
     def test_monotone_in_alpha(self):
         ctx = EcContext(10, np.pi / 2.0)

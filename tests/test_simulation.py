@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import rotubes as rt
 from rotubes.curves import RotationCurve, TimeGrid
-from rotubes.simulation import MIXING_MATRICES, _error_paths, _generating_paths, modulation
+from rotubes.simulation import (MIXING_MATRICES, _error_paths, _generating_paths,
+                                _keyed_streams, modulation)
 
 
 def keyed_generating_path(spec, grid, seed_seq):
@@ -157,6 +160,57 @@ class TestGpSampling:
                                                RotationCurve.identity(grid), grid, 4, (2026, 7))
                 got = tuple(float(paths[idx]).hex() for idx in entries)
                 assert got == expected, (family, len(grid))
+
+
+# Key words of one, two and more than two 32-bit words.
+key_ints = (st.integers(0, 2 ** 32 - 1) | st.integers(2 ** 32, 2 ** 64 - 1)
+            | st.integers(2 ** 64, 2 ** 130))
+
+
+class TestKeyedStreams:
+    @given(key=st.lists(key_ints, max_size=6).map(tuple), n=st.integers(1, 12))
+    @example(key=(2026, 7), n=4)
+    @example(key=(7, 3, 1, 5), n=3)
+    @example(key=(2 ** 32, 2 ** 64 + 5, 0), n=2)
+    def test_streams_are_numpys_seed_sequence_streams(self, key, n):
+        # The stacked restatement of SeedSequence and PCG64 seeding gives each
+        # stream the state, and so the draws, of its own default_rng; a numpy
+        # release that changes SeedSequence (NEP 19) fails here.
+        streams = _keyed_streams(key, n)
+        for m in range(n):
+            for d in range(3):
+                got = next(streams)
+                ref = np.random.default_rng(np.random.SeedSequence(key + (m,), spawn_key=(d,)))
+                assert got.bit_generator.state == ref.bit_generator.state, (m, d)
+                for width in (2, 10, 101):
+                    assert np.array_equal(got.standard_normal(width), ref.standard_normal(width))
+        assert next(streams, None) is None
+
+    @pytest.mark.parametrize("key, error, message", [
+        ((3, -1), ValueError, "expected non-negative integer"),
+        ((-2,), ValueError, "expected non-negative integer"),
+        ((3, 1.5), TypeError, "seed must be integer"),
+        ((np.float64(2.0),), TypeError, "seed must be integer"),
+    ])
+    def test_bad_key_elements_raise_numpys_errors(self, key, error, message):
+        grid = TimeGrid.uniform(11)
+        with pytest.raises(error, match=message):
+            np.random.SeedSequence(key + (0,), spawn_key=(0,))
+        with pytest.raises(error, match=message):
+            rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.1),
+                                RotationCurve.identity(grid), grid, 2, key)
+
+    def test_numpy_integer_seed_is_its_python_int(self):
+        grid = TimeGrid.uniform(21)
+        spec = rt.ErrorProcessSpec(2, 1, 1, 0.1)
+        center = RotationCurve.identity(grid)
+        for seed in (np.int64(5), np.uint32(5)):
+            _, paths = rt.sample_gp_sample(spec, center, grid, 4, seed)
+            assert np.array_equal(paths, rt.sample_gp_sample(spec, center, grid, 4, 5)[1])
+        kwargs = dict(n=5, reps=3, alphas=[0.1], grid=grid)
+        report = rt.coverage_experiment(spec, seed=np.int64(3), **kwargs)
+        assert report == rt.coverage_experiment(spec, seed=3, **kwargs)
+        assert type(report.seed) is int
 
 
 class TestCoverageExperiment:
