@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import TimeGrid
+from .curves import GRID_SIZE, TimeGrid
 from .simulation import CoverageReport, ErrorProcessSpec, coverage_experiment
 
 ALPHAS = (0.15, 0.10, 0.05)
@@ -77,7 +77,7 @@ def run_battery(reps: int, seed: int, grid: TimeGrid | None = None,
     Entries are keyed (seed, position in rows, family), independent of execution
     order; only a prefix of ROWS reproduces the full run's entries for its rows.
     """
-    grid = grid if grid is not None else TimeGrid.uniform(101)
+    grid = grid if grid is not None else TimeGrid.uniform(GRID_SIZE)
     rows = ROWS if rows is None else rows
     entries = []
     for row_idx, (n, sigma, l, j) in enumerate(rows):

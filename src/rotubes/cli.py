@@ -13,7 +13,7 @@ import sys
 
 from . import battery as battery_mod
 from . import io as rio
-from .curves import CurveSample, TimeGrid, apply_action
+from .curves import GRID_SIZE, CurveSample, TimeGrid, apply_action
 from .errors import RotubesError
 from .simulation import ErrorProcessSpec, coverage_experiment
 from .tubes import act_on_tube, build_tube, compare_tubes
@@ -33,10 +33,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sigma", type=float, required=True)
     sim.add_argument("--n", type=int, required=True, help="curves per replication")
     sim.add_argument("--reps", type=int, required=True, help="number of replications")
-    sim.add_argument("--alphas", type=_alpha_list, default=[0.15, 0.10, 0.05],
+    sim.add_argument("--alphas", type=_alpha_list, default=list(battery_mod.ALPHAS),
                      help="comma-separated alpha levels (default 0.15,0.10,0.05)")
     sim.add_argument("--seed", type=_unsigned, required=True)
-    sim.add_argument("--grid-size", type=int, default=101)
+    sim.add_argument("--grid-size", type=int, default=GRID_SIZE)
     sim.add_argument("--out", required=True, help="JSON report path")
 
     tube = sub.add_parser("tube", help="build a confidence tube from curve CSV files")
@@ -60,9 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("export-euler", help="angle-table export of one curve file")
     exp.add_argument("--input", required=True, help="curve CSV file")
-    exp.add_argument("--grid-size", type=int, default=101)
-    exp.add_argument("--euler-axes", default="zxy")
-    exp.add_argument("--euler-mode", default="intrinsic",
+    exp.add_argument("--grid-size", type=int, default=GRID_SIZE)
+    exp.add_argument("--euler-axes", default=rio.EulerConvention.axes)
+    exp.add_argument("--euler-mode", default=rio.EulerConvention.mode,
                      choices=("intrinsic", "extrinsic"))
     exp.add_argument("--out", required=True, help="CSV angle table path")
 
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bat.add_argument("--rows", type=_row_count, default=None,
                      help=f"run only the first ROWS of the {len(battery_mod.ROWS)} "
                           f"configurations (smoke runs)")
-    bat.add_argument("--grid-size", type=int, default=101)
+    bat.add_argument("--grid-size", type=int, default=GRID_SIZE)
     bat.add_argument("--out", required=True, help="JSON battery report path")
     return parser
 
@@ -110,7 +110,8 @@ def _row_count(text: str) -> int:
 _PARSER = _build_parser()
 # Defaults of the tube flags that only --input reads.  With --manifest the
 # manifest sets them, so they parse as None to tell an explicit flag apart.
-_INPUT_DEFAULTS = {"grid_size": 101, "euler_axes": "zxy", "euler_mode": "intrinsic"}
+_INPUT_DEFAULTS = {"grid_size": GRID_SIZE, "euler_axes": rio.EulerConvention.axes,
+                   "euler_mode": rio.EulerConvention.mode}
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
@@ -128,10 +129,6 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     return args
 
 
-def _convention(args) -> rio.EulerConvention:
-    return rio.EulerConvention(args.euler_axes, args.euler_mode)
-
-
 def _load_sample(args) -> CurveSample:
     """The sample of one manifest session; --input DIR is a one-session manifest."""
     if args.manifest is not None:
@@ -147,13 +144,13 @@ def _load_sample(args) -> CurveSample:
             raise RotubesError(f"--input must be a directory: {args.input}")
         label = args.input
         manifest = rio.DatasetManifest(
-            {label: sorted(glob.glob(os.path.join(label, "*.csv")))},
-            args.grid_size, _convention(args))
+            {label: sorted(glob.glob(os.path.join(glob.escape(label), "*.csv")))},
+            args.grid_size, rio.EulerConvention(args.euler_axes, args.euler_mode))
     return rio.ingest_curve_csv(manifest.sessions[label], manifest.grid_size,
                                 manifest.euler_convention)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     spec = ErrorProcessSpec(args.family, args.modulation, args.mixing, args.sigma)
     report = coverage_experiment(spec, args.n, args.reps, args.alphas,
                                  TimeGrid.uniform(args.grid_size), seed=args.seed)
@@ -164,11 +161,9 @@ def _cmd_simulate(args) -> int:
               f"mc-se={100 * se:.1f}pp")
     if report.n_singular:
         print(f"  singular replications: {report.n_singular}")
-    print(f"wrote {args.out}")
-    return 0
 
 
-def _cmd_tube(args) -> int:
+def _cmd_tube(args) -> None:
     sample = _load_sample(args)
     if args.alignment:
         sample = apply_action(sample, rio.action_from_json(args.alignment))
@@ -176,11 +171,9 @@ def _cmd_tube(args) -> int:
     rio.atomic_write_json(args.out, rio.tube_to_dict(tube))
     print(f"tube: n={tube.n} curves, grid {len(tube.grid)} points, "
           f"alpha={tube.alpha}, quantile={tube.hquant:.4f}")
-    print(f"wrote {args.out}")
-    return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> None:
     tube_a = rio.tube_from_json(args.tube_a)
     tube_b = rio.tube_from_json(args.tube_b)
     if args.alignment:
@@ -193,12 +186,10 @@ def _cmd_compare(args) -> int:
         print(f"non-overlap loci (cycle percent): {spans}")
     else:
         print("tubes overlap everywhere")
-    print(f"wrote {args.out}")
-    return 0
 
 
-def _cmd_export_euler(args) -> int:
-    convention = _convention(args)
+def _cmd_export_euler(args) -> None:
+    convention = rio.EulerConvention(args.euler_axes, args.euler_mode)
     curve = rio.ingest_curve_csv(args.input, args.grid_size, convention)
     table, lock = rio.export_euler(curve, convention)
     lines = [f"# t,angle1,angle2,angle3,gimbal_lock  (degrees, {convention.axes} "
@@ -208,11 +199,9 @@ def _cmd_export_euler(args) -> int:
     rio.atomic_write_text(args.out, "\n".join(lines) + "\n")
     if lock.any():
         print(f"warning: {int(lock.sum())} row(s) at gimbal lock")
-    print(f"wrote {args.out}")
-    return 0
 
 
-def _cmd_battery(args) -> int:
+def _cmd_battery(args) -> None:
     rows = battery_mod.ROWS[:args.rows] if args.rows else None
 
     def progress(entry):
@@ -226,8 +215,6 @@ def _cmd_battery(args) -> int:
     rio.atomic_write_json(args.out, battery_mod.battery_to_dict(entries, args.reps,
                                                                 args.seed))
     print(battery_mod.format_battery_table(entries))
-    print(f"wrote {args.out}")
-    return 0
 
 
 _COMMANDS = {
@@ -245,10 +232,12 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        _COMMANDS[args.command](args)
     except (RotubesError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    print(f"wrote {args.out}")
+    return 0
 
 
 def main() -> None:

@@ -27,6 +27,8 @@ __all__ = [
     "length_loss",
 ]
 
+GRID_SIZE = 101          # points of the default uniform grid (simulations and the CLI)
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)

@@ -77,7 +77,8 @@ class DatasetManifest:
         data = _load_json(path)
         try:
             conv = data.get("euler_convention", {})
-            convention = EulerConvention(conv.get("axes", "zxy"), conv.get("mode", "intrinsic"))
+            convention = EulerConvention(conv.get("axes", EulerConvention.axes),
+                                         conv.get("mode", EulerConvention.mode))
             base = os.path.dirname(os.path.abspath(path))
             sessions = {}
             for label, paths in data["sessions"].items():
@@ -90,11 +91,11 @@ class DatasetManifest:
             raise ParseError(f"{path}: bad manifest field ({exc})") from exc
 
 
-def _read_lines(path: str) -> list[str]:
-    """The file's lines, read as UTF-8 text after an optional byte-order mark."""
+def _read_text(path: str) -> str:
+    """The whole file, read as UTF-8 text after an optional byte-order mark."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            return fh.read().split("\n")
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
 
@@ -108,7 +109,7 @@ def _parse_numeric_rows(path: str) -> np.ndarray:
     Wherever that fails, or loadtxt might read differently from float() per
     field, the line scanner reads the lines again and raises the located error.
     """
-    lines = _read_lines(path)
+    lines = _read_text(path).split("\n")
     data = [(lineno, text) for lineno, line in enumerate(lines, start=1)
             if (text := line.strip()) and not text.startswith("#")]
     if data and _is_header(data[0][1]):
@@ -302,11 +303,10 @@ def _require_floats(data: dict, key: str, path: str, default=None) -> np.ndarray
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:           # also a file that is not UTF-8 text
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        return json.loads(_read_text(path))     # _read_text's ParseError is no ValueError
+    except ValueError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def action_from_json(path: str) -> SpatioTemporalAction:
@@ -347,7 +347,8 @@ def tube_to_dict(tube: ConfidenceTube) -> dict:
     }
 
 
-def tube_from_dict(data: dict, path: str = "<tube>") -> ConfidenceTube:
+def tube_from_json(path: str) -> ConfidenceTube:
+    data = _load_json(path)
     try:
         grid = TimeGrid(_require_floats(data, "grid", path))
         center = RotationCurve(grid, _require_floats(data, "center", path).reshape(-1, 3, 3))
@@ -361,10 +362,6 @@ def tube_from_dict(data: dict, path: str = "<tube>") -> ConfidenceTube:
                               n=_require_int(data, "n", path))
     except (ValueError, TypeError, OverflowError, InvalidRotation, SingularCovariance) as exc:
         raise ParseError(f"{path}: bad tube record ({exc})") from exc
-
-
-def tube_from_json(path: str) -> ConfidenceTube:
-    return tube_from_dict(_load_json(path), path)
 
 
 def overlap_report_to_dict(report: OverlapReport) -> dict:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3, tubes
-from .curves import CurveSample, RotationCurve, TimeGrid
+from .curves import GRID_SIZE, CurveSample, RotationCurve, TimeGrid
 from .errors import SingularCovariance
 
 __all__ = [
@@ -84,8 +84,8 @@ class ErrorProcessSpec:
             raise ValueError(f"modulation must be 1, 2 or 3, got {self.l}")
         if self.j not in (1, 2):
             raise ValueError(f"mixing must be 1 or 2, got {self.j}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:             # NaN fails too
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
     def label(self) -> str:
         return f"A({self.i},{self.l},{self.j},{self.sigma:g})"
@@ -225,7 +225,7 @@ def coverage_experiment(spec: ErrorProcessSpec, n: int, reps: int,
     beyond that the run aborts.
     """
     _check_design(n, reps)
-    grid = grid if grid is not None else TimeGrid.uniform(101)
+    grid = grid if grid is not None else TimeGrid.uniform(GRID_SIZE)
     alphas = [float(a) for a in alphas]
     center = RotationCurve.identity(grid)
     key = (seed,) if isinstance(seed, numbers.Integral) else tuple(seed)
@@ -269,7 +269,7 @@ def mc_quantile_oracle(spec: ErrorProcessSpec, n: int, reps: int, alpha: float,
     independent reference for the expected-Euler-characteristic quantile.
     """
     _check_design(n, reps)
-    grid = grid if grid is not None else TimeGrid.uniform(101)
+    grid = grid if grid is not None else TimeGrid.uniform(GRID_SIZE)
     rng = np.random.default_rng(seed)
     maxima = np.empty(reps)
     for done in range(0, reps, _ORACLE_BATCH):

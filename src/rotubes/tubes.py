@@ -37,7 +37,7 @@ _OVERLAP_MARGIN = 1e-6
 
 
 def _check_spd(S: np.ndarray, grid: TimeGrid) -> None:
-    """Runs where S enters: tube_ingredients (a sample) and io.tube_from_dict (JSON)."""
+    """Runs where S enters: tube_ingredients (a sample) and io.tube_from_json (JSON)."""
     sym_err = np.abs(S - np.swapaxes(S, -1, -2)).max()
     if sym_err > _SYM_TOL:
         raise SingularCovariance(f"covariance asymmetric by {sym_err:.3e}")

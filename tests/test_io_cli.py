@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -26,6 +27,27 @@ def smooth_curve(grid, amp=0.4, phase=0.0):
     path = np.stack([amp * np.sin(2.0 * np.pi * t + phase), 0.3 * amp * t,
                      0.2 * amp * np.cos(3.0 * t)], axis=-1)
     return RotationCurve(grid, so3.exp_so3(path))
+
+
+def record_text(kind):
+    """A valid JSON record of `kind` whose text holds the non-ASCII letter of 'Käthe'."""
+    if kind == "manifest":
+        data = {"sessions": {"Käthe": ["k.csv"]}, "grid_size": 5}
+    elif kind == "tube":
+        grid = TimeGrid.uniform(5)
+        sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.05),
+                                        smooth_curve(grid), grid, 5, 8)
+        data = dict(rio.tube_to_dict(build_tube(sample, 0.05)), note="Käthe")
+    else:
+        data = dict(rio.action_to_dict(SpatioTemporalAction.identity()), note="Käthe")
+    return json.dumps(data, ensure_ascii=False)
+
+
+RECORD_READERS = {          # kind -> (loader, a comparable dump of what it loaded)
+    "manifest": (rio.DatasetManifest.from_json, lambda manifest: manifest),
+    "tube": (rio.tube_from_json, rio.tube_to_dict),
+    "alignment": (rio.action_from_json, rio.action_to_dict),
+}
 
 
 def axis_rotation(axis, degrees):
@@ -467,6 +489,38 @@ class TestRecords:
         assert manifest.euler_convention.axes == "xyz"
         assert manifest.sessions["A"][0].endswith(os.path.join(str(tmp_path), "a1.csv"))
 
+    @pytest.mark.parametrize("kind", sorted(RECORD_READERS))
+    def test_records_with_a_byte_order_mark_load(self, tmp_path, kind):
+        # JSON records drop a leading BOM as curve CSVs do.
+        load, dump = RECORD_READERS[kind]
+        plain, marked = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_text(record_text(kind), encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + record_text(kind).encode("utf-8"))
+        assert dump(load(str(marked))) == dump(load(str(plain)))
+
+    @pytest.mark.parametrize("kind", sorted(RECORD_READERS))
+    def test_record_that_is_not_utf8_names_the_file(self, tmp_path, kind):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(record_text(kind).encode("latin-1"))
+        with pytest.raises(ParseError) as info:
+            RECORD_READERS[kind][0](str(path))
+        assert str(info.value).startswith(f"{path}: not UTF-8 text")
+
+    def test_utf8_manifest_loads_under_an_ascii_locale(self, tmp_path):
+        # Records decode as UTF-8 whatever encoding the locale prefers.
+        path = tmp_path / "manifest.json"
+        path.write_bytes(record_text("manifest").encode("utf-8"))
+        src = os.path.dirname(os.path.dirname(rio.__file__))
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=src)
+        code = ("import codecs, locale, sys; from rotubes.io import DatasetManifest; "
+                "print(codecs.lookup(locale.getpreferredencoding(False)).name, "
+                "ascii(list(DatasetManifest.from_json(sys.argv[1]).sessions)))")
+        run = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["ascii", "['K\\xe4the']"]
+
     def test_schema_version_present_everywhere(self, tmp_path):
         grid = TimeGrid.uniform(5)
         sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.05),
@@ -677,6 +731,70 @@ class TestCli:
         assert [h for h in expected_hooks if tracer.calls_of(h) == 0] == []
         assert tracer.calls_of("io.ingest.parse") == 2 * spec.n
         assert tracer.points_of("io.ingest.parse") == 2 * spec.n * spec.rows
+
+    def test_input_directory_name_is_read_literally(self, tmp_path):
+        # "walks[12]" names a directory; it is not a pattern that matches walks1.
+        grid = TimeGrid.uniform(11)
+        names = ("walks[12]", "walks1")
+        for seed, name in enumerate(names, start=4):
+            (tmp_path / name).mkdir()
+            sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.05),
+                                            smooth_curve(grid), grid, 5, seed)
+            for n in range(5):
+                rio.write_curve_csv(str(tmp_path / name / f"walk{n}.csv"),
+                                    RotationCurve(grid, sample.values[n]))
+        records = {}
+        for name in names:
+            out = str(tmp_path / "tube.json")
+            assert self.run("tube", "--input", str(tmp_path / name), "--alpha", "0.05",
+                            "--grid-size", "11", "--out", out) == 0
+            records[name] = json.load(open(out))
+        own = rio.ingest_curve_csv([str(tmp_path / "walks[12]" / f"walk{n}.csv")
+                                    for n in range(5)], 11)
+        assert records["walks[12]"] == rio.tube_to_dict(build_tube(own, 0.05))
+        assert records["walks[12]"] != records["walks1"]
+
+    @pytest.mark.parametrize("command", ["simulate-coverage", "tube", "compare",
+                                         "export-euler", "battery"])
+    def test_every_command_reports_what_it_wrote(self, tmp_path, capsys, command):
+        grid = TimeGrid.uniform(11)
+        sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.05),
+                                        smooth_curve(grid), grid, 5, 4)
+        for n in range(5):
+            rio.write_curve_csv(str(tmp_path / f"walk{n}.csv"),
+                                RotationCurve(grid, sample.values[n]))
+        tube, missing = str(tmp_path / "tube.json"), str(tmp_path / "missing")
+        rio.atomic_write_json(tube, rio.tube_to_dict(build_tube(sample, 0.05)))
+        design = ["--family", "1", "--modulation", "1", "--mixing", "1", "--sigma", "0.05",
+                  "--reps", "2", "--seed", "3", "--grid-size", "11"]
+        good, bad = {       # each bad run is a domain error of its command
+            "simulate-coverage": (design + ["--n", "5"], design + ["--n", "3"]),
+            "tube": (["--input", str(tmp_path), "--alpha", "0.05", "--grid-size", "11"],
+                     ["--input", missing, "--alpha", "0.05"]),
+            "compare": (["--tube-a", tube, "--tube-b", tube],
+                        ["--tube-a", tube, "--tube-b", missing]),
+            "export-euler": (["--input", str(tmp_path / "walk0.csv"), "--grid-size", "11"],
+                             ["--input", missing]),
+            "battery": (["--reps", "2", "--seed", "1", "--rows", "1", "--grid-size", "11"],
+                        ["--reps", "0", "--seed", "1", "--rows", "1"]),
+        }[command]
+        out = str(tmp_path / "out")
+        capsys.readouterr()
+        assert self.run(command, *bad, "--out", out) == 1
+        assert "wrote" not in capsys.readouterr().out and not os.path.exists(out)
+        assert self.run(command, *good, "--out", out) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
+        assert os.path.exists(out)
+
+    def test_simulate_coverage_refuses_an_infinite_sigma(self, tmp_path, capsys):
+        out = str(tmp_path / "report.json")
+        capsys.readouterr()
+        assert self.run("simulate-coverage", "--family", "1", "--modulation", "1",
+                        "--mixing", "1", "--sigma", "inf", "--n", "5", "--reps", "2",
+                        "--seed", "3", "--grid-size", "11", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: sigma must be finite and positive, got inf\n"
+        assert not os.path.exists(out)
 
     def test_export_euler_command(self, tmp_path):
         curve = smooth_curve(TimeGrid.uniform(9))

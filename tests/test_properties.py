@@ -251,7 +251,8 @@ class TestCsvParse:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         fast = _rows_or_message(lambda: rio._parse_numeric_rows(path))
-        scanned = _rows_or_message(lambda: rio._scan_numeric_rows(path, rio._read_lines(path)))
+        scanned = _rows_or_message(
+            lambda: rio._scan_numeric_rows(path, rio._read_text(path).split("\n")))
         if isinstance(fast, str) or isinstance(scanned, str):
             assert fast == scanned
         else:

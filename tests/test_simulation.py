@@ -78,6 +78,12 @@ class TestErrorProcesses:
         with pytest.raises(ValueError):
             rt.ErrorProcessSpec(1, 1, 1, 0.0)
 
+    @pytest.mark.parametrize("sigma", [float("inf"), -float("inf"), float("nan"), -0.1])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        # Refused here, not deep in the rotation check by a message naming neither.
+        with pytest.raises(ValueError, match=r"^sigma must be finite and positive, got "):
+            rt.ErrorProcessSpec(1, 1, 1, sigma)
+
 
 class TestGpSampling:
     def test_small_sigma_limit_returns_center(self):
