@@ -165,11 +165,11 @@ def residuals(sample: CurveSample, center: RotationCurve | None = None) -> tuple
     mean(t_k)^T center(t_k), shape (K, 3), or None without a center.
     """
     pem = pointwise_extrinsic_mean(sample)
-    rel = np.einsum("kij,nkil->nkjl", pem.values, sample.values)
+    rel = so3._transpose_times(pem.values, sample.values)
     xbar = None
     if center is not None:
         _require_same_grid(sample.grid, center.grid, "sample and center")
-        rel0 = np.einsum("kij,kil->kjl", pem.values, center.values)
+        rel0 = so3._transpose_times(pem.values, center.values)
         xbar = so3.log_so3(rel0, validate=False)
     return pem, so3.log_so3(rel, validate=False), xbar
 

@@ -33,6 +33,9 @@ __all__ = ["EcContext", "lkc_estimate", "expected_ec", "solve_quantile"]
 
 _BRACKET_TOL = 1e-12       # well below the 1e-8 contract; keeps roots reproducible
 _VALUE_TOL = 1e-8
+_TWO_PI = 2.0 * math.pi
+_FOUR_PI = 4.0 * math.pi
+_RHO3_SCALE = _TWO_PI ** -2.0
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,12 @@ def _gamma_ratio(n: int) -> float:
     return math.exp(special.gammaln(n / 2.0) - special.gammaln((n - 1) / 2.0))
 
 
+@functools.lru_cache(maxsize=64)
+def _rho2_scale(n: int) -> float:
+    """(2 pi)^-1.5 Gamma(n / 2) / Gamma((n - 1) / 2) / sqrt((n - 1) / 2), rounded left to right."""
+    return _TWO_PI ** -1.5 * _gamma_ratio(n) / math.sqrt((n - 1) / 2.0)
+
+
 def _ec_densities(t: float, n: int) -> tuple:
     """EC densities rho_0..rho_3 of a t-process with n - 1 dof, at t.
 
@@ -64,9 +73,9 @@ def _ec_densities(t: float, n: int) -> tuple:
     nu = n - 1
     base = (1.0 + t * t / nu) ** (1.0 - n / 2.0)
     return (cython_special.stdtr(float(nu), -t),
-            base / (2.0 * math.pi),
-            (2.0 * math.pi) ** -1.5 * _gamma_ratio(n) / math.sqrt(nu / 2.0) * t * base,
-            (2.0 * math.pi) ** -2.0 * ((n - 2.0) / nu * t * t - 1.0) * base)
+            base / _TWO_PI,
+            _rho2_scale(n) * t * base,
+            _RHO3_SCALE * ((n - 2.0) / nu * t * t - 1.0) * base)
 
 
 def lkc_estimate(x: np.ndarray) -> float:
@@ -94,7 +103,7 @@ def expected_ec(h: float, ctx: EcContext) -> float:
     Approximates P(max_t H_t > h); equals 1 at h = 0 and decreases to 0.
     """
     rho0, rho1, rho2, rho3 = _ec_densities(math.sqrt(h), ctx.n)
-    return 2.0 * rho0 + 4.0 * math.pi * rho2 + ctx.l1 * (2.0 * rho1 + 4.0 * math.pi * rho3)
+    return 2.0 * rho0 + _FOUR_PI * rho2 + ctx.l1 * (2.0 * rho1 + _FOUR_PI * rho3)
 
 
 def solve_quantile(alpha: float, ctx: EcContext) -> float:

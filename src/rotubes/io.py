@@ -2,7 +2,8 @@
 
 All JSON records carry a schema version field "rotubes/1".  Floats go
 through Python's shortest-roundtrip repr, so write/read cycles are exact.
-File writes are atomic (temp file in the target directory, then rename).
+File writes are atomic (temp file in the target directory, then rename); as
+with open(), a new file gets its mode from the umask and an existing one keeps its own.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+import shutil
 import warnings
 from dataclasses import dataclass
 
@@ -404,11 +405,13 @@ def coverage_report_to_dict(report: CoverageReport) -> dict:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)    # umask applies, as in open()
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)      # an existing file keeps its mode, as with open()
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -48,17 +48,24 @@ def exp_so3(a: np.ndarray) -> np.ndarray:
     theta2 = np.sum(a * a, axis=-1)
     theta = np.sqrt(theta2)
     small = theta < _SMALL_ANGLE
-
-    # Guard the divisions; the small branch overwrites the guarded values.
-    safe2 = np.where(small, 1.0, theta2)
-    c1 = np.where(small, 1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0,
-                  np.sin(theta) / np.sqrt(safe2))
-    c2 = np.where(small, 0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0,
-                  (1.0 - np.cos(theta)) / safe2)
+    with np.errstate(divide="ignore", invalid="ignore"):    # 0/0 where theta2 is 0; replaced below
+        c1 = np.sin(theta) / theta
+        c2 = (1.0 - np.cos(theta)) / theta2
+    if np.any(small):
+        t2 = np.where(small, theta2, 0.0)       # the series never sees a large angle
+        c1 = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, c1)
+        c2 = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, c2)
 
     A = hat(a)
     A2 = A @ A
     return np.eye(3) + c1[..., None, None] * A + c2[..., None, None] * A2
+
+
+def _transpose_times(P: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """P^T V per stacked matrix, summed in index order plus +0.0: every entry, the sign
+    of zero included, equals np.einsum("kij,...kil->...kjl") of P against V."""
+    return (P[..., 0, :, None] * V[..., 0, None, :] + P[..., 1, :, None] * V[..., 1, None, :]
+            + P[..., 2, :, None] * V[..., 2, None, :]) + 0.0
 
 
 def _check_shape_33(A: np.ndarray) -> None:
@@ -116,8 +123,8 @@ def log_so3(R: np.ndarray, validate: bool = True) -> np.ndarray:
     if validate:
         check_rotation(R)
 
-    S = 0.5 * (R - np.swapaxes(R, -1, -2))
-    w = np.stack([S[..., 2, 1], S[..., 0, 2], S[..., 1, 0]], axis=-1)     # sin(theta) * axis
+    w = 0.5 * np.stack([R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0],
+                        R[..., 1, 0] - R[..., 0, 1]], axis=-1)          # sin(theta) * axis
     s = np.linalg.norm(w, axis=-1)
     c = 0.5 * (np.trace(R, axis1=-2, axis2=-1) - 1.0)
     theta = np.arctan2(s, c)
@@ -130,9 +137,10 @@ def log_so3(R: np.ndarray, validate: bool = True) -> np.ndarray:
     out = w * (theta / safe_s)[..., None]
 
     # Small angles: theta/sin(theta) = 1 + theta^2/6 + 7 theta^4/360 + ...
-    t2 = theta * theta
-    scale_small = 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
-    out = np.where(small[..., None], w * scale_small[..., None], out)
+    if np.any(small):
+        t2 = theta * theta
+        scale_small = 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
+        out = np.where(small[..., None], w * scale_small[..., None], out)
 
     if np.any(near_pi):
         out[near_pi] = _log_near_pi(R[near_pi], w[near_pi], theta[near_pi])

@@ -150,7 +150,7 @@ def build_tube(sample: CurveSample, alpha: float) -> ConfidenceTube:
 def tube_contains(tube: ConfidenceTube, curve: RotationCurve) -> tuple[np.ndarray, bool]:
     """Pointwise and overall membership of a curve in the tube (closed boundary)."""
     _require_same_grid(tube.grid, curve.grid, "tube and curve")
-    rel = np.einsum("kij,kil->kjl", tube.center.values, curve.values)
+    rel = so3._transpose_times(tube.center.values, curve.values)
     a = so3.log_so3(rel, validate=False)
     per_point = _hotelling(tube.n, tube.s, a) <= tube.hquant
     return per_point, bool(per_point.all())

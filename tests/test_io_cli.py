@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -336,6 +337,24 @@ class TestRecords:
         assert np.array_equal(back.center.values, tube.center.values)
         assert np.array_equal(back.s, tube.s)
         assert back.grid == tube.grid
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+    def test_written_file_gets_the_mode_of_a_plain_open(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.txt", "w") as fh:
+                fh.write("x\n")
+            rio.atomic_write_text(str(tmp_path / "atomic.txt"), "x\n")
+        finally:
+            os.umask(previous)
+        modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+                 for name in ("plain.txt", "atomic.txt")}
+        assert modes == {"plain.txt": 0o666 & ~umask, "atomic.txt": 0o666 & ~umask}
+        # Rewriting keeps a mode the user set, as open(path, "w") does.
+        os.chmod(tmp_path / "atomic.txt", 0o604)
+        rio.atomic_write_text(str(tmp_path / "atomic.txt"), "y\n")
+        assert stat.S_IMODE(os.stat(tmp_path / "atomic.txt").st_mode) == 0o604
+        assert sorted(os.listdir(tmp_path)) == ["atomic.txt", "plain.txt"]
 
     def test_seeded_tube_record_is_pinned(self):
         # One seeded tube, bit for bit: float.hex of the quantile, the LKC and
@@ -702,6 +721,54 @@ class TestCli:
         expected = build_tube(apply_action(ingested, act), 0.05)
         assert json.load(open(out)) == rio.tube_to_dict(expected)
 
+    # sha256 of each output of one seeded session pair per schema: tube A,
+    # tube B, compare, and compare under an alignment.
+    SESSION_DIGESTS = {
+        "matrix": ("9d90dff3e8303dd12fa12954dcd530b71748f370a5578448d8621692e357664a",
+                   "c568737415c1bac0d474e81ea631f89b0cff2b1659c648420466840d6f07a5fa",
+                   "40c86225957814e1f6905a6dc05143503fa5b18cebfadd4b1837ee7a8719cc3e",
+                   "b36a530369179d0003ad96a1fe4986181b2f744d117a8d84b308b8c3088a5fbf"),
+        "euler": ("48c0cd503cba2b4178ef8498541709852831e2f6b7ac83bddf1c78e38cedd99f",
+                  "30ec9d4c72b43e555f4245c2afe347154f21c3507c770fc2761a5718ee87c3df",
+                  "40c86225957814e1f6905a6dc05143503fa5b18cebfadd4b1837ee7a8719cc3e",
+                  "b36a530369179d0003ad96a1fe4986181b2f744d117a8d84b308b8c3088a5fbf"),
+    }
+
+    @pytest.mark.parametrize("schema", ["matrix", "euler"])
+    def test_seeded_session_outputs_are_pinned(self, tmp_path, schema):
+        def write_angle_csv(path, curve):
+            angles = Rotation.from_matrix(curve.values).as_euler("ZXY", degrees=True)
+            rows = np.column_stack([curve.grid.t, angles]).tolist()
+            Path(path).write_text("t,angle_z,angle_x,angle_y\n"
+                                  + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+
+        write = rio.write_curve_csv if schema == "matrix" else write_angle_csv
+        grid = TimeGrid.uniform(31)
+        for label, phase, seed in (("A", 0.0, 2026), ("B", 0.2, 2027)):
+            sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.01),
+                                            smooth_curve(grid, phase=phase), grid, 8, seed)
+            os.mkdir(tmp_path / label)
+            for n in range(8):
+                write(str(tmp_path / label / f"walk{n}.csv"),
+                      RotationCurve(grid, sample.values[n]))
+        align = str(tmp_path / "align.json")
+        act = SpatioTemporalAction(axis_rotation("z", 1.0), axis_rotation("x", -0.5),
+                                   np.array([[0.0, 0.0], [0.5, 0.45], [1.0, 1.0]]))
+        rio.atomic_write_json(align, rio.action_to_dict(act))
+        ta, tb, plain, aligned = (str(tmp_path / f"{name}.json")
+                                  for name in ("a", "b", "plain", "aligned"))
+        for argv in (["tube", "--input", str(tmp_path / "A"), "--alpha", "0.05",
+                      "--grid-size", "21", "--out", ta],
+                     ["tube", "--input", str(tmp_path / "B"), "--alpha", "0.05",
+                      "--grid-size", "21", "--out", tb],
+                     ["compare", "--tube-a", ta, "--tube-b", tb, "--out", plain],
+                     ["compare", "--tube-a", ta, "--tube-b", tb, "--out", aligned,
+                      "--alignment", align]):
+            assert self.run(*argv) == 0
+        digests = tuple(hashlib.sha256(Path(out).read_bytes()).hexdigest()
+                        for out in (ta, tb, plain, aligned))
+        assert digests == self.SESSION_DIGESTS[schema]
+
     def test_bench_sessions_hooks_fire(self, tmp_path, monkeypatch, capsys):
         # bench/run.py --trace 1 exits 2 when a sessions hook never fires; the
         # pipeline must keep reaching every traced function, once per file parsed.
@@ -785,6 +852,9 @@ class TestCli:
         assert self.run(command, *good, "--out", out) == 0
         assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
         assert os.path.exists(out)
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o666 & ~umask
 
     def test_simulate_coverage_refuses_an_infinite_sigma(self, tmp_path, capsys):
         out = str(tmp_path / "report.json")

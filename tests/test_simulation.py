@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -267,6 +269,16 @@ class TestCoverageExperiment:
         with pytest.raises(ValueError):
             rt.coverage_experiment(rt.ErrorProcessSpec(1, 1, 1, 0.05), n=5, reps=0,
                                    alphas=[0.1])
+
+    @pytest.mark.parametrize("sigma", [1e100, 1e150])
+    def test_huge_finite_sigma_runs_without_warnings(self, sigma):
+        # The small-angle series of exp_so3 is evaluated on small angles only,
+        # so squaring a squared angle of 1e200 no longer overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = rt.coverage_experiment(rt.ErrorProcessSpec(1, 1, 1, sigma), 5, 2, [0.05],
+                                            TimeGrid.uniform(11))
+        assert report.reps == 2 and report.n_singular == 0
 
 
 class TestMcQuantileOracle:

@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm, logm
 from scipy.spatial.transform import Rotation
 
@@ -25,6 +28,86 @@ def brute_force_nearest_rotation(M, rng, n_global=20000):
         if obj.min() < np.square(best - M).sum():
             best = local[obj.argmin()]
     return best
+
+
+def where_exp(a):
+    """exp_so3 as it was written with np.where over every point: the byte reference."""
+    a = np.asarray(a, dtype=float)
+    theta2 = np.sum(a * a, axis=-1)
+    theta = np.sqrt(theta2)
+    small = theta < so3._SMALL_ANGLE
+
+    # Guard the divisions; the small branch overwrites the guarded values.
+    safe2 = np.where(small, 1.0, theta2)
+    c1 = np.where(small, 1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0,
+                  np.sin(theta) / np.sqrt(safe2))
+    c2 = np.where(small, 0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0,
+                  (1.0 - np.cos(theta)) / safe2)
+
+    A = so3.hat(a)
+    A2 = A @ A
+    return np.eye(3) + c1[..., None, None] * A + c2[..., None, None] * A2
+
+
+def full_skew_log(R):
+    """log_so3 as it was written with the full skew part and an unconditional
+    small-angle series: the byte reference."""
+    R = np.asarray(R, dtype=float)
+    S = 0.5 * (R - np.swapaxes(R, -1, -2))
+    w = np.stack([S[..., 2, 1], S[..., 0, 2], S[..., 1, 0]], axis=-1)     # sin(theta) * axis
+    s = np.linalg.norm(w, axis=-1)
+    c = 0.5 * (np.trace(R, axis1=-2, axis2=-1) - 1.0)
+    theta = np.arctan2(s, c)
+
+    small = theta < so3._SMALL_ANGLE
+    near_pi = (np.pi - theta) < so3._NEAR_PI
+
+    # Generic branch: a = theta * w / ||w||.
+    safe_s = np.where(small | near_pi, 1.0, s)
+    out = w * (theta / safe_s)[..., None]
+
+    # Small angles: theta/sin(theta) = 1 + theta^2/6 + 7 theta^4/360 + ...
+    t2 = theta * theta
+    scale_small = 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
+    out = np.where(small[..., None], w * scale_small[..., None], out)
+
+    if np.any(near_pi):
+        out[near_pi] = so3._log_near_pi(R[near_pi], w[near_pi], theta[near_pi])
+    return out
+
+
+# Entries that stress rounding and the sign of zero, beside arbitrary ones.
+ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]) | st.floats(-2.0, 2.0)
+# Angles at zero, below and at the small-angle switch, generic, near and at pi.
+ANGLES = (st.sampled_from([0.0, 1e-6, np.pi, np.pi - 1e-5]) | st.floats(0.0, 1e-6)
+          | st.floats(0.0, np.pi) | st.floats(np.pi - 1e-4, np.pi))
+
+
+@st.composite
+def algebra_stacks(draw):
+    """(m, 3) vectors: ENTRIES directions scaled by ANGLES or by up to 1e150."""
+    m = draw(st.integers(1, 12))
+    directions = draw(hnp.arrays(float, (m, 3), elements=ENTRIES))
+    scales = draw(hnp.arrays(float, (m, 1), elements=ANGLES | st.floats(np.pi, 1e150)))
+    return directions * scales
+
+
+@st.composite
+def rotation_stacks(draw):
+    """(m, 3, 3) rotations of ANGLES about unit axes, plus exact half turns and
+    identities whose off-diagonal zeros carry drawn signs."""
+    m = draw(st.integers(1, 12))
+    axes = draw(hnp.arrays(float, (m, 3), elements=ENTRIES))
+    norms = np.linalg.norm(axes, axis=-1, keepdims=True)
+    axes = axes / np.where(norms > 0.1, norms, np.inf)      # short directions become zero
+    angles = draw(hnp.arrays(float, (m, 1), elements=ANGLES))
+    diagonals = draw(st.lists(st.sampled_from([[1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
+                                               [-1.0, -1.0, 1.0], [1.0, 1.0, 1.0]]),
+                              max_size=3))
+    zeros = draw(hnp.arrays(float, (len(diagonals), 3, 3), elements=st.sampled_from([0.0, -0.0])))
+    exact = np.where(np.eye(3, dtype=bool), np.reshape([np.diag(d) for d in diagonals],
+                                                       (-1, 3, 3)), zeros)
+    return np.concatenate([where_exp(axes * angles), exact])
 
 
 class TestHatVee:
@@ -206,3 +289,48 @@ class TestGeodesicDistance:
         R1, R2 = haar_rotations(2, 19)
         assert so3.geodesic_distance(R1, R2) == pytest.approx(
             so3.geodesic_distance(R2, R1), abs=1e-12)
+
+
+class TestSameBytesAsTheArrayFormulas:
+    # Each rewrite must round as the formula it replaced, to the last bit and
+    # the sign of zero, so seeded tubes, counts and JSON records stay the same.
+    @given(data=st.data(), k=st.integers(1, 40), n=st.integers(1, 4))
+    def test_transpose_times_equals_both_einsums(self, data, k, n):
+        P = data.draw(hnp.arrays(float, (k, 3, 3), elements=ENTRIES))
+        V = data.draw(hnp.arrays(float, (n, k, 3, 3), elements=ENTRIES))
+        assert (so3._transpose_times(P, V).tobytes()
+                == np.einsum("kij,nkil->nkjl", P, V).tobytes())
+        assert (so3._transpose_times(P, V[0]).tobytes()
+                == np.einsum("kij,kil->kjl", P, V[0]).tobytes())
+
+    @pytest.mark.parametrize("n", [10, 30])
+    def test_transpose_times_equals_einsum_at_sample_size(self, n):
+        # A coverage sample's shape, a third of its entries signed zeros.
+        rng = np.random.default_rng(n)
+        P = haar_rotations(101, n)
+        V = haar_rotations(101 * n, n + 1).reshape(n, 101, 3, 3)
+        P[rng.random(P.shape) < 0.3] = -0.0
+        V[rng.random(V.shape) < 0.3] = -0.0
+        assert (so3._transpose_times(P, V).tobytes()
+                == np.einsum("kij,nkil->nkjl", P, V).tobytes())
+
+    @given(a=algebra_stacks())
+    @example(a=np.array([[0.3, -0.2, 0.1], [1.0, 2.0, -0.5]]))              # no small angle
+    @example(a=np.array([[0.0, -0.0, 0.0], [1e-8, 0.0, -0.0], [0.3, 0.2, 0.1]]))
+    @example(a=np.array([[1e150, -1e150, 0.5], [1e-9, 0.0, 0.0]]))
+    def test_exp_so3(self, a):
+        with np.errstate(over="ignore"):        # the reference squares 1e300
+            reference = where_exp(a), where_exp(a[0])
+        assert so3.exp_so3(a).tobytes() == reference[0].tobytes()
+        assert so3.exp_so3(a[0]).tobytes() == reference[1].tobytes()
+
+    @given(R=rotation_stacks())
+    @example(R=where_exp(np.array([[0.3, -0.2, 0.1], [1.0, 0.5, -0.5]])))  # generic only
+    @example(R=np.stack([np.eye(3), np.diag([1.0, -1.0, -1.0]),
+                         where_exp(np.array([1e-8, 0.0, -0.0])),
+                         where_exp(np.array([0.0, np.pi - 1e-6, 0.0]))]))
+    def test_log_so3(self, R):
+        assert so3.log_so3(R, validate=False).tobytes() == full_skew_log(R).tobytes()
+        assert so3.log_so3(R[0], validate=False).tobytes() == full_skew_log(R[0]).tobytes()
+        assert (so3.log_so3(R[None], validate=False).tobytes()
+                == full_skew_log(R[None]).tobytes())
