@@ -49,6 +49,7 @@ MIXING_MATRICES = {
 _OU_RATE = 5.0
 _BUMP_CENTERS = np.arange(10) / 9.0
 _BUMP_WIDTH = 0.2
+_MAX_SIGMA = 1e150        # exp_so3 squares the angle: sigma = 1e300 overflows it
 
 # SeedSequence's hash constants (numpy.random.bit_generator), PCG64's multiplier.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -86,6 +87,8 @@ class ErrorProcessSpec:
             raise ValueError(f"mixing must be 1 or 2, got {self.j}")
         if not 0.0 < self.sigma < math.inf:             # NaN fails too
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        if self.sigma > _MAX_SIGMA:
+            raise ValueError(f"sigma must be at most {_MAX_SIGMA:g}, got {self.sigma:g}")
 
     def label(self) -> str:
         return f"A({self.i},{self.l},{self.j},{self.sigma:g})"
@@ -223,6 +226,12 @@ def coverage_experiment(spec: ErrorProcessSpec, n: int, reps: int,
     inside at all grid points.  Replications hitting a singular residual
     covariance are tolerated as non-covering up to 0.1 percent of reps,
     beyond that the run aborts.
+
+    A replication's tubes share one center, S and n, so containment computes
+    the same H_t for each and compares it with each tube's quantile: the
+    tubes are nested.  They are tested narrowest first (by quantile, not by
+    alpha), and the first that holds the center decides it for every wider
+    one.
     """
     _check_design(n, reps)
     grid = grid if grid is not None else TimeGrid.uniform(GRID_SIZE)
@@ -236,10 +245,12 @@ def coverage_experiment(spec: ErrorProcessSpec, n: int, reps: int,
         sample, _ = sample_gp_sample(spec, center, grid, n, key + (rep,))
         try:
             ing = tubes.tube_ingredients(sample)
-            for a_idx, alpha in enumerate(alphas):
-                tube = tubes.assemble_tube(ing, alpha)
-                _, inside = tubes.tube_contains(tube, center)
-                covered[rep, a_idx] = inside
+            built = [tubes.assemble_tube(ing, alpha) for alpha in alphas]
+            order = sorted(range(len(alphas)), key=lambda a: built[a].hquant)
+            for pos, a_idx in enumerate(order):
+                if tubes.tube_contains(built[a_idx], center)[1]:
+                    covered[rep, order[pos:]] = True
+                    break
         except SingularCovariance:
             n_singular += 1
 

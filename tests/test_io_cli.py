@@ -866,6 +866,16 @@ class TestCli:
         assert err == "error: ValueError: sigma must be finite and positive, got inf\n"
         assert not os.path.exists(out)
 
+    def test_simulate_coverage_refuses_a_sigma_above_the_bound(self, tmp_path, capsys):
+        out = str(tmp_path / "report.json")
+        capsys.readouterr()
+        assert self.run("simulate-coverage", "--family", "1", "--modulation", "1",
+                        "--mixing", "1", "--sigma", "1e300", "--n", "5", "--reps", "2",
+                        "--seed", "3", "--grid-size", "11", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: sigma must be at most 1e+150, got 1e+300\n"
+        assert not os.path.exists(out)
+
     def test_export_euler_command(self, tmp_path):
         curve = smooth_curve(TimeGrid.uniform(9))
         src = str(tmp_path / "c.csv")

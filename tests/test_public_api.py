@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,3 +89,12 @@ def test_bench_hook_targets_are_bound():
     for name, attrs in before.items():
         module = vars(importlib.import_module(name))
         assert all(module[attr] is value for attr, value in attrs.items()), name
+
+
+def test_readme_states_the_package_line_count():
+    # README's "The package is N lines" is `wc -l src/rotubes/*.py`.
+    package = Path(rotubes.__file__).parent
+    readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"The package is\s+(\d+)\s+lines", readme)
+    counted = sum(path.read_text(encoding="utf-8").count("\n") for path in package.glob("*.py"))
+    assert stated == [str(counted)]

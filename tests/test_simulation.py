@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +9,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import rotubes as rt
+from rotubes import battery, tubes
 from rotubes.curves import RotationCurve, TimeGrid
+from rotubes.errors import SingularCovariance
 from rotubes.simulation import (MIXING_MATRICES, _error_paths, _generating_paths,
                                 _keyed_streams, modulation)
 
@@ -85,6 +90,11 @@ class TestErrorProcesses:
         # Refused here, not deep in the rotation check by a message naming neither.
         with pytest.raises(ValueError, match=r"^sigma must be finite and positive, got "):
             rt.ErrorProcessSpec(1, 1, 1, sigma)
+
+    def test_sigma_above_the_bound_is_refused(self):
+        # exp_so3 would overflow squaring the angle; the spec names the bound instead.
+        with pytest.raises(ValueError, match=r"^sigma must be at most 1e\+150, got 1e\+300$"):
+            rt.ErrorProcessSpec(1, 1, 1, 1e300)
 
 
 class TestGpSampling:
@@ -221,6 +231,33 @@ class TestKeyedStreams:
         assert type(report.seed) is int
 
 
+def per_alpha_covered(spec, n, reps, alphas, grid, seed):
+    """Covered flags (reps, alphas) and singular count, one containment test per alpha."""
+    center = RotationCurve.identity(grid)
+    covered = np.zeros((reps, len(alphas)), dtype=bool)
+    n_singular = 0
+    for rep in range(reps):
+        sample, _ = rt.sample_gp_sample(spec, center, grid, n, (seed, rep))
+        try:
+            ing = tubes.tube_ingredients(sample)
+            for a_idx, alpha in enumerate(alphas):
+                tube = tubes.assemble_tube(ing, alpha)
+                _, inside = tubes.tube_contains(tube, center)
+                covered[rep, a_idx] = inside
+        except SingularCovariance:
+            n_singular += 1
+    return covered, n_singular
+
+
+def bench_module(name, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)        # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestCoverageExperiment:
     def test_single_replication_smoke(self):
         report = rt.coverage_experiment(rt.ErrorProcessSpec(1, 1, 1, 0.05), n=5,
@@ -279,6 +316,64 @@ class TestCoverageExperiment:
             report = rt.coverage_experiment(rt.ErrorProcessSpec(1, 1, 1, sigma), 5, 2, [0.05],
                                             TimeGrid.uniform(11))
         assert report.reps == 2 and report.n_singular == 0
+
+    # (i, l, j, sigma, n): two nominal cells and the low-coverage sigma = 0.6, l = 3 one.
+    @pytest.mark.parametrize("cell", [(1, 1, 1, 0.1, 5), (2, 1, 2, 0.05, 8),
+                                      (1, 3, 2, 0.6, 10)])
+    def test_nested_exit_decides_as_one_test_per_alpha(self, cell):
+        # Unsorted alphas with a repeat: the narrowest-first order is by quantile.
+        spec, n = rt.ErrorProcessSpec(*cell[:4]), cell[4]
+        alphas, grid = [0.05, 0.15, 0.10, 0.15], TimeGrid.uniform(51)
+        covered, n_singular = per_alpha_covered(spec, n, 40, alphas, grid, 17)
+        report = rt.coverage_experiment(spec, n, 40, alphas, grid, seed=17)
+        assert report.rates == tuple(float(r) for r in covered.mean(axis=0))
+        assert report.n_singular == n_singular
+        assert (covered.any(axis=1) & ~covered.all(axis=1)).any()   # tubes disagree somewhere
+
+    def test_containment_stops_at_the_narrowest_covering_tube(self, monkeypatch):
+        reps = []
+        assemble, contains = tubes.assemble_tube, tubes.tube_contains
+
+        def counted_assemble(ing, alpha):
+            tube = assemble(ing, alpha)
+            if not reps or reps[-1]["ing"] is not ing:
+                reps.append({"ing": ing, "built": [], "tested": []})
+            reps[-1]["built"].append(tube.hquant)
+            return tube
+
+        def counted_contains(tube, curve):
+            per_point, inside = contains(tube, curve)
+            reps[-1]["tested"].append((tube.hquant, inside))
+            return per_point, inside
+
+        monkeypatch.setattr(tubes, "assemble_tube", counted_assemble)
+        monkeypatch.setattr(tubes, "tube_contains", counted_contains)
+        alphas = [0.05, 0.15, 0.10, 0.15]
+        rt.coverage_experiment(rt.ErrorProcessSpec(1, 3, 2, 0.6), 10, 40, alphas,
+                               TimeGrid.uniform(51), seed=17)
+        assert len(reps) == 40
+        for rep in reps:
+            quants, inside = zip(*rep["tested"])
+            assert 1 <= len(quants) <= len(alphas)
+            assert quants[0] == min(rep["built"]) and list(quants) == sorted(quants)
+            assert not any(inside[:-1])                 # stops at the first covering tube
+            if inside[0]:
+                assert len(quants) == 1
+        assert {len(rep["tested"]) == 1 for rep in reps} == {True, False}
+
+    def test_bench_coverage_hooks_fire(self, monkeypatch):
+        # bench/run.py --trace 1 exits 2 when a coverage hook never fires, so
+        # the coverage decision must keep reaching assemble_tube and tube_contains.
+        tracing = bench_module("tracing", monkeypatch)
+        expected_hooks = bench_module("run", monkeypatch).EXPECTED_HOOKS["coverage"]
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            battery.run_battery(2, 5, TimeGrid.uniform(21), rows=battery.ROWS[:1])
+        finally:
+            tracer.uninstall()
+        assert [h for h in expected_hooks if tracer.calls_of(h) == 0] == []
+        assert tracer.calls_of("tubes.assemble") == 2 * 3 * len(battery.ALPHAS)
 
 
 class TestMcQuantileOracle:
