@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import (InvalidDof, NoConvergence, NonMonotoneBracket, NoRoot,
 __all__ = ["EcContext", "lkc_estimate", "expected_ec", "solve_quantile"]
 
 _BRACKET_TOL = 1e-12       # well below the 1e-8 contract; keeps roots reproducible
+_SECANT_STEPS = 12         # at most; 6-10 pin a battery root to 1e-12 * h
 _VALUE_TOL = 1e-8
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
@@ -46,8 +48,8 @@ class EcContext:
     l1: float
 
     def __post_init__(self):
-        if self.n < 3:
-            raise InvalidDof(f"need N >= 3, got N = {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 3:
+            raise InvalidDof(f"need an integer N >= 3, got N = {self.n!r}")
         if not (self.l1 >= 0.0 and math.isfinite(self.l1)):
             raise ValueError(f"L1 must be finite and nonnegative, got {self.l1}")
 
@@ -102,8 +104,30 @@ def expected_ec(h: float, ctx: EcContext) -> float:
 
     Approximates P(max_t H_t > h); equals 1 at h = 0 and decreases to 0.
     """
+    if not 0.0 <= h < math.inf:
+        raise ValueError(f"h must be finite and nonnegative, got h = {h}")
     rho0, rho1, rho2, rho3 = _ec_densities(math.sqrt(h), ctx.n)
     return 2.0 * rho0 + _FOUR_PI * rho2 + ctx.l1 * (2.0 * rho1 + _FOUR_PI * rho3)
+
+
+def _doubt_interval(f, alpha: float, a: float, f_a: float, b: float, f_b: float) -> tuple:
+    """The interval where a bisection step on [a, b] is in doubt: Illinois regula falsi
+    on log f (nearly linear in h past the mode) narrows [a, b], keeping f(a) >= alpha >
+    f(b), and 1e-12 * max(1, b) on either side covers the rounding wiggles of f."""
+    def g(v: float) -> float:                   # log(v / alpha), -inf where v <= 0
+        return math.log(v) - math.log(alpha) if v > 0.0 else -math.inf
+
+    g_a, g_b, side = g(f_a), g(f_b), 0
+    for _ in range(_SECANT_STEPS):
+        x = a + (b - a) * (g_a / (g_a - g_b)) if g_a > g_b else a
+        if not (a < x < b and b - a > _BRACKET_TOL * max(1.0, b)):
+            break
+        if (f_x := f(x)) >= alpha:              # Illinois: halve g at an end kept twice
+            a, g_a, g_b, side = x, g(f_x), g_b * (0.5 if side > 0 else 1.0), 1
+        else:
+            b, g_b, g_a, side = x, g(f_x), g_a * (0.5 if side < 0 else 1.0), -1
+    margin = _BRACKET_TOL * max(1.0, b)
+    return a - margin, b + margin
 
 
 def solve_quantile(alpha: float, ctx: EcContext) -> float:
@@ -116,6 +140,8 @@ def solve_quantile(alpha: float, ctx: EcContext) -> float:
     NonMonotoneBracket is raised.  Bisection stops at a bracket 1e-12 wide
     or of adjacent floats; a midpoint there whose value misses alpha by
     more than 1e-8 raises NoConvergence.
+    expected_ec is evaluated only where a step is in doubt; elsewhere the step goes
+    where f, decreasing past the mode, sends it.
     """
     if not (0.0 < alpha <= 0.5):
         raise ValueError(f"alpha must be in (0, 0.5], got {alpha}")
@@ -138,26 +164,31 @@ def solve_quantile(alpha: float, ctx: EcContext) -> float:
             raise NoRoot(f"expected_ec never falls below alpha = {alpha} for N = {ctx.n}, "
                          f"L1 = {ctx.l1:.6g}" + (limit if ctx.n == 4 else ""))
 
+    a, b = _doubt_interval(f, alpha, lo, f_lo, hi, f_hi)
     checked = False
     while True:
         mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
         width = hi - lo
-        if width < _VALUE_TOL * max(1.0, lo) and not checked:
+        check = width < _VALUE_TOL * max(1.0, lo) and not checked
+        adjacent = mid in (lo, hi)      # the bracket cannot contract any further
+        stop = width < _BRACKET_TOL or adjacent
+        f_mid = f(mid) if check or stop or a <= mid <= b else None
+        if check:
             # Strict-decrease guard on the contracted bracket, at a width relative
             # to h so that it spans many floats: across a few, rounding ties and
             # wiggles in expected_ec would fail it on a decreasing function.
+            f_lo = f(lo) if f_lo is None else f_lo
+            f_hi = f(hi) if f_hi is None else f_hi
             if not (f_lo > f_mid > f_hi):
                 raise NonMonotoneBracket(
                     f"expected_ec not strictly decreasing on [{lo}, {hi}]")
             checked = True
-        adjacent = mid in (lo, hi)      # the bracket cannot contract any further
-        if (width < _BRACKET_TOL or adjacent) and abs(f_mid - alpha) <= _VALUE_TOL:
+        if stop and abs(f_mid - alpha) <= _VALUE_TOL:
             return mid
         if adjacent:
             raise NoConvergence(f"expected_ec misses alpha = {alpha} by {f_mid - alpha:.3g} "
                                 f"at h = {mid!r}, between adjacent floats")
-        if f_mid >= alpha:
+        if (mid < a) if f_mid is None else (f_mid >= alpha):
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid

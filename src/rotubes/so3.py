@@ -45,7 +45,8 @@ def exp_so3(a: np.ndarray) -> np.ndarray:
     Taylor expansions to avoid cancellation.
     """
     a = np.asarray(a, dtype=float)
-    theta2 = np.sum(a * a, axis=-1)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    theta2 = (a0 * a0 + a1 * a1) + a2 * a2      # np.sum(a * a, axis=-1), to the bit
     theta = np.sqrt(theta2)
     small = theta < _SMALL_ANGLE
     with np.errstate(divide="ignore", invalid="ignore"):    # 0/0 where theta2 is 0; replaced below
@@ -63,9 +64,12 @@ def exp_so3(a: np.ndarray) -> np.ndarray:
 
 def _transpose_times(P: np.ndarray, V: np.ndarray) -> np.ndarray:
     """P^T V per stacked matrix, summed in index order plus +0.0: every entry, the sign
-    of zero included, equals np.einsum("kij,...kil->...kjl") of P against V."""
-    return (P[..., 0, :, None] * V[..., 0, None, :] + P[..., 1, :, None] * V[..., 1, None, :]
-            + P[..., 2, :, None] * V[..., 2, None, :]) + 0.0
+    of zero included, equals np.einsum("kij,...kil->...kjl") of P against V.  The
+    products run on contiguous (3, 3, ...) copies; the result is their (..., 3, 3) view."""
+    p, v = (np.moveaxis(X, (-2, -1), (0, 1)).copy() for X in (P, V))
+    p = p.reshape((3, 3) + (1,) * (v.ndim - p.ndim) + p.shape[2:])    # V may stack more axes
+    return np.moveaxis((p[0, :, None] * v[0, None] + p[1, :, None] * v[1, None]
+                        + p[2, :, None] * v[2, None]) + 0.0, (0, 1), (-2, -1))
 
 
 def _check_shape_33(A: np.ndarray) -> None:
@@ -123,10 +127,12 @@ def log_so3(R: np.ndarray, validate: bool = True) -> np.ndarray:
     if validate:
         check_rotation(R)
 
-    w = 0.5 * np.stack([R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0],
-                        R[..., 1, 0] - R[..., 0, 1]], axis=-1)          # sin(theta) * axis
-    s = np.linalg.norm(w, axis=-1)
-    c = 0.5 * (np.trace(R, axis1=-2, axis2=-1) - 1.0)
+    w0, w1, w2 = (0.5 * (R[..., 2, 1] - R[..., 1, 2]), 0.5 * (R[..., 0, 2] - R[..., 2, 0]),
+                  0.5 * (R[..., 1, 0] - R[..., 0, 1]))
+    w = np.stack([w0, w1, w2], axis=-1)                                 # sin(theta) * axis
+    # np.linalg.norm(w, axis=-1) and the trace of R, summed left to right as they round.
+    s = np.sqrt((w0 * w0 + w1 * w1) + w2 * w2)
+    c = 0.5 * (((R[..., 0, 0] + R[..., 1, 1]) + R[..., 2, 2]) - 1.0)
     theta = np.arctan2(s, c)
 
     small = theta < _SMALL_ANGLE

@@ -2,16 +2,71 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
 import rotubes as rt
 from rotubes import gkf
 from rotubes.curves import TimeGrid
-from rotubes.errors import InvalidDof, NoConvergence, NoRoot, ZeroResidualColumn
+from rotubes.errors import (InvalidDof, NoConvergence, NonMonotoneBracket, NoRoot,
+                            ZeroResidualColumn)
 from rotubes.gkf import EcContext, expected_ec, lkc_estimate, solve_quantile
 from rotubes.simulation import _error_paths
+
+
+def full_bisection(alpha, ctx):
+    """solve_quantile as it was written with an expected_ec call at every midpoint:
+    the float-for-float reference of the solver that evaluates only steps in doubt."""
+    if not (0.0 < alpha <= 0.5):
+        raise ValueError(f"alpha must be in (0, 0.5], got {alpha}")
+
+    def f(h: float) -> float:
+        return gkf.expected_ec(h, ctx)
+
+    lo, f_lo = 0.0, None
+    h = 1.0
+    while h <= 100.0 and (f_h := f(h)) >= 0.5:
+        lo, f_lo = h, f_h
+        h *= 2.0
+    if f_lo is None:
+        f_lo = f(lo)
+    hi = 100.0
+    while (f_hi := f(hi)) >= alpha:
+        hi *= 2.0
+        if hi > 1e15:
+            limit = f"; at 3 dof its limit is 2 L1/pi = {2 * ctx.l1 / math.pi:.6g}"
+            raise NoRoot(f"expected_ec never falls below alpha = {alpha} for N = {ctx.n}, "
+                         f"L1 = {ctx.l1:.6g}" + (limit if ctx.n == 4 else ""))
+
+    checked = False
+    while True:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        width = hi - lo
+        if width < gkf._VALUE_TOL * max(1.0, lo) and not checked:
+            if not (f_lo > f_mid > f_hi):
+                raise NonMonotoneBracket(
+                    f"expected_ec not strictly decreasing on [{lo}, {hi}]")
+            checked = True
+        adjacent = mid in (lo, hi)
+        if (width < gkf._BRACKET_TOL or adjacent) and abs(f_mid - alpha) <= gkf._VALUE_TOL:
+            return mid
+        if adjacent:
+            raise NoConvergence(f"expected_ec misses alpha = {alpha} by {f_mid - alpha:.3g} "
+                                f"at h = {mid!r}, between adjacent floats")
+        if f_mid >= alpha:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+
+
+def outcome(solver, alpha, ctx):
+    """The root as float.hex, or the type and message of the error raised."""
+    try:
+        return solver(alpha, ctx).hex()
+    except (NoRoot, NoConvergence, NonMonotoneBracket) as err:
+        return type(err).__name__, str(err)
 
 
 def tail_by_quadrature(t, n):
@@ -47,6 +102,15 @@ class TestEcDensities:
     def test_invalid_dof(self):
         with pytest.raises(InvalidDof):
             EcContext(2, 1.0)
+
+    @pytest.mark.parametrize("n", [10.5, 10.0, np.float64(10.0), True])
+    def test_non_integer_dof_is_refused(self, n):
+        with pytest.raises(InvalidDof, match="integer N"):
+            EcContext(n, 1.0)
+
+    def test_numpy_integer_dof_is_accepted(self):
+        assert solve_quantile(0.05, EcContext(np.int64(10), 1.0)) == solve_quantile(
+            0.05, EcContext(10, 1.0))
 
     def test_invalid_order(self):
         # Densities exist for orders 0..3 only.
@@ -135,6 +199,12 @@ class TestExpectedEc:
         assert value == float(reference)
 
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_h_outside_the_domain_is_refused(self, h):
+        with pytest.raises(ValueError, match="h must be finite and nonnegative"):
+            expected_ec(h, EcContext(10, 2.0))
+
+
 class TestSolveQuantile:
     def test_residual_equation_value(self):
         for alpha in (0.5, 0.25, 0.1, 0.05, 0.01):
@@ -215,6 +285,64 @@ class TestSolveQuantile:
         # With N = 4, expected_ec tends to 2 L1/pi = 1.27 > alpha as h grows.
         with pytest.raises(NoRoot, match=r"N = 4, L1 = 2;.*2 L1/pi = 1\.27324"):
             solve_quantile(0.05, EcContext(4, 2.0))
+
+
+class TestSameFloatsAsFullBisection:
+    # The solver skips expected_ec where a bisection step is not in doubt; every
+    # root and every error must still be the one full bisection gives.
+    @settings(max_examples=400)
+    @given(n=st.integers(5, 200), l1=st.floats(0.0, 50.0),
+           alpha=st.floats(0.0, 0.5, exclude_min=True))
+    @example(n=10, l1=4.3, alpha=0.05)
+    @example(n=30, l1=0.0, alpha=0.5)
+    @example(n=200, l1=50.0, alpha=5e-324)          # NoRoot past 1e15 or a tiny root
+    # Three solves that go astray when midpoints just outside [a, b] are not evaluated.
+    @example(n=112, l1=12.782007218912844, alpha=0.20002098824359638)
+    @example(n=6, l1=27.225726313732746, alpha=0.23034721130449304)
+    @example(n=5, l1=100.0, alpha=0.07867466188590438)
+    def test_roots_and_errors(self, n, l1, alpha):
+        ctx = EcContext(n, l1)
+        assert outcome(solve_quantile, alpha, ctx) == outcome(full_bisection, alpha, ctx)
+
+    @pytest.mark.parametrize("n, l1", [(4, 2.0), (5, 100.0), (6, 100.0), (4, 0.0)])
+    def test_no_root_and_adjacent_float_stops(self, n, l1):
+        ctx = EcContext(n, l1)
+        assert outcome(solve_quantile, 0.05, ctx) == outcome(full_bisection, 0.05, ctx)
+
+    def test_jump_across_alpha(self, monkeypatch):
+        def jump(h, ctx):
+            return 0.3 * math.exp(-h / 1e4) + (0.4 if h < 5.0 else 0.0)
+
+        monkeypatch.setattr(gkf, "expected_ec", jump)
+        got = outcome(solve_quantile, 0.5, EcContext(10, 1.0))
+        assert got[0] == "NoConvergence"
+        assert got == outcome(full_bisection, 0.5, EcContext(10, 1.0))
+
+    @pytest.mark.parametrize("freq, r, raised", [(1e9, 25.0, True), (1e10, 300.0, True),
+                                                 (1e9, 20.0, False)])
+    def test_wiggles_near_the_root(self, monkeypatch, freq, r, raised):
+        # At or above alpha for h < r and below it for h > r, a few floats around r
+        # aside, but not monotone at the scale of the strict-decrease guard.
+        def wiggle(h, ctx):
+            return 0.05 * math.exp((r - h) * (1.01 + math.sin(freq * h)) / r)
+
+        monkeypatch.setattr(gkf, "expected_ec", wiggle)
+        got = outcome(solve_quantile, 0.05, EcContext(10, 1.0))
+        assert (got[0] == "NonMonotoneBracket") == raised
+        assert got == outcome(full_bisection, 0.05, EcContext(10, 1.0))
+
+    def test_few_evaluations_per_solve(self, monkeypatch):
+        # A count, not a timing: full bisection takes about 54 per solve here.
+        evals = []
+
+        def counted(h, c):
+            evals.append(h)
+            return expected_ec(h, c)
+
+        monkeypatch.setattr(gkf, "expected_ec", counted)
+        solves = [solve_quantile(alpha, EcContext(n, l1)) for l1 in (1.0, 4.3, 10.0)
+                  for n in (10, 15, 30) for alpha in (0.15, 0.10, 0.05)]
+        assert len(evals) / len(solves) <= 30.0
 
 
 class TestGkfAgainstMonteCarlo:

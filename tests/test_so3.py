@@ -76,6 +76,17 @@ def full_skew_log(R):
     return out
 
 
+def strided_views(X, c):
+    """Views holding X's values in other layouts, none C-contiguous: the first and last
+    axes transposed, every stride negative, the c trailing component axes made the
+    slowest, and every other row of a buffer twice as long."""
+    comp, front = tuple(range(-c, 0)), tuple(range(c))
+    return [np.swapaxes(np.swapaxes(X, 0, -1).copy(), 0, -1),
+            np.flip(np.flip(X).copy()),
+            np.moveaxis(np.moveaxis(X, comp, front).copy(), front, comp),
+            np.repeat(X, 2, axis=0)[::2]]
+
+
 # Entries that stress rounding and the sign of zero, beside arbitrary ones.
 ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]) | st.floats(-2.0, 2.0)
 # Angles at zero, below and at the small-angle switch, generic, near and at pi.
@@ -334,3 +345,19 @@ class TestSameBytesAsTheArrayFormulas:
         assert so3.log_so3(R[0], validate=False).tobytes() == full_skew_log(R[0]).tobytes()
         assert (so3.log_so3(R[None], validate=False).tobytes()
                 == full_skew_log(R[None]).tobytes())
+
+    @given(data=st.data(), k=st.integers(2, 12), n=st.integers(2, 3))
+    def test_strided_inputs_give_the_bytes_of_contiguous_ones(self, data, k, n):
+        # The kernels read component planes, so input strides must not matter.
+        P = data.draw(hnp.arrays(float, (k, 3, 3), elements=ENTRIES))
+        V = data.draw(hnp.arrays(float, (n, k, 3, 3), elements=ENTRIES))
+        a, R = data.draw(algebra_stacks()), data.draw(rotation_stacks())
+        for Pv, Vv in zip(strided_views(P, 2), strided_views(V, 2)):
+            assert not (Pv.flags.c_contiguous or Vv.flags.c_contiguous)
+            assert so3._transpose_times(Pv, Vv).tobytes() == so3._transpose_times(P, V).tobytes()
+            assert (so3._transpose_times(Pv, Vv[0]).tobytes()
+                    == so3._transpose_times(P, V[0]).tobytes())
+        for av in strided_views(a, 1):
+            assert so3.exp_so3(av).tobytes() == so3.exp_so3(a).tobytes()
+        for Rv in strided_views(R, 2):
+            assert so3.log_so3(Rv, validate=False).tobytes() == so3.log_so3(R, validate=False).tobytes()
