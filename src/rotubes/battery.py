@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import GRID_SIZE, TimeGrid
+from .io import SCHEMA
 from .simulation import CoverageReport, ErrorProcessSpec, coverage_experiment
 
 ALPHAS = (0.15, 0.10, 0.05)
@@ -96,7 +97,7 @@ def run_battery(reps: int, seed: int, grid: TimeGrid | None = None,
 
 def battery_to_dict(entries: list[BatteryEntry], reps: int, seed: int) -> dict:
     return {
-        "schema": "rotubes/1",
+        "schema": SCHEMA,
         "kind": "coverage_battery",
         "reps": reps,
         "seed": seed,

@@ -179,10 +179,11 @@ def _cmd_compare(args) -> None:
     if args.alignment:
         tube_b = act_on_tube(tube_b, rio.action_from_json(args.alignment),
                              out_grid=tube_a.grid)
-    report = compare_tubes(tube_a, tube_b)
-    rio.atomic_write_json(args.out, rio.overlap_report_to_dict(report))
-    if report.loci:
-        spans = ", ".join(f"{100 * a:.0f}%-{100 * b:.0f}%" for a, b in report.loci_times())
+    record = rio.overlap_report_to_dict(compare_tubes(tube_a, tube_b))
+    rio.atomic_write_json(args.out, record)
+    if record["loci"]:
+        spans = ", ".join(f"{loc['start_percent']:.0f}%-{loc['end_percent']:.0f}%"
+                          for loc in record["loci"])
         print(f"non-overlap loci (cycle percent): {spans}")
     else:
         print("tubes overlap everywhere")

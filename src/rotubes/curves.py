@@ -15,18 +15,6 @@ import numpy as np
 from . import so3
 from .errors import GridMismatch
 
-__all__ = [
-    "TimeGrid",
-    "RotationCurve",
-    "CurveSample",
-    "SpatioTemporalAction",
-    "pointwise_extrinsic_mean",
-    "residuals",
-    "apply_action",
-    "curve_length",
-    "length_loss",
-]
-
 GRID_SIZE = 101          # points of the default uniform grid (simulations and the CLI)
 
 
@@ -61,9 +49,6 @@ class TimeGrid:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TimeGrid) and np.array_equal(self.t, other.t)
-
-    def __hash__(self):
-        return hash((self.t.size, float(self.t[1])))
 
 
 def _require_same_grid(a: TimeGrid, b: TimeGrid, what: str) -> None:
@@ -138,10 +123,6 @@ class SpatioTemporalAction:
         object.__setattr__(self, "p", _freeze(p))
         object.__setattr__(self, "q", _freeze(q))
         object.__setattr__(self, "warp_knots", _freeze(knots))
-
-    @classmethod
-    def identity(cls) -> "SpatioTemporalAction":
-        return cls(np.eye(3), np.eye(3))
 
     def warp(self, t: np.ndarray) -> np.ndarray:
         return np.interp(t, self.warp_knots[:, 0], self.warp_knots[:, 1])

@@ -30,8 +30,6 @@ from scipy.special import cython_special
 from .errors import (InvalidDof, NoConvergence, NonMonotoneBracket, NoRoot,
                      ZeroResidualColumn)
 
-__all__ = ["EcContext", "lkc_estimate", "expected_ec", "solve_quantile"]
-
 _BRACKET_TOL = 1e-12       # well below the 1e-8 contract; keeps roots reproducible
 _SECANT_STEPS = 12         # at most; 6-10 pin a battery root to 1e-12 * h
 _VALUE_TOL = 1e-8
@@ -55,15 +53,10 @@ class EcContext:
 
 
 @functools.lru_cache(maxsize=64)
-def _gamma_ratio(n: int) -> float:
-    """Gamma(n / 2) / Gamma((n - 1) / 2)."""
-    return math.exp(special.gammaln(n / 2.0) - special.gammaln((n - 1) / 2.0))
-
-
-@functools.lru_cache(maxsize=64)
 def _rho2_scale(n: int) -> float:
     """(2 pi)^-1.5 Gamma(n / 2) / Gamma((n - 1) / 2) / sqrt((n - 1) / 2), rounded left to right."""
-    return _TWO_PI ** -1.5 * _gamma_ratio(n) / math.sqrt((n - 1) / 2.0)
+    gamma_ratio = math.exp(special.gammaln(n / 2.0) - special.gammaln((n - 1) / 2.0))
+    return _TWO_PI ** -1.5 * gamma_ratio / math.sqrt((n - 1) / 2.0)
 
 
 def _ec_densities(t: float, n: int) -> tuple:

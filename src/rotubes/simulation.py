@@ -31,14 +31,6 @@ from . import so3, tubes
 from .curves import GRID_SIZE, CurveSample, RotationCurve, TimeGrid
 from .errors import SingularCovariance
 
-__all__ = [
-    "ErrorProcessSpec",
-    "CoverageReport",
-    "sample_gp_sample",
-    "coverage_experiment",
-    "mc_quantile_oracle",
-]
-
 MIXING_MATRICES = {
     1: np.eye(3),
     2: np.array([[1.0, 0.0, 0.0],

@@ -19,17 +19,6 @@ from .curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid,
                      _bracket, _require_same_grid, apply_action, residuals)
 from .errors import NoConvergence, SingularCovariance
 
-__all__ = [
-    "ConfidenceTube",
-    "OverlapReport",
-    "TubeIngredients",
-    "tube_ingredients",
-    "build_tube",
-    "tube_contains",
-    "compare_tubes",
-    "act_on_tube",
-]
-
 MIN_CURVES = 4           # smallest sample with an invertible 3x3 covariance
 _COND_FLOOR = 1e-12      # min eigenvalue must exceed this times the max
 _SYM_TOL = 1e-10
@@ -91,9 +80,6 @@ class OverlapReport:
             raise ValueError("overlap must hold one boolean per grid point")
         object.__setattr__(self, "overlap", ov)
         object.__setattr__(self, "loci", _false_runs(ov))
-
-    def loci_times(self) -> list[tuple[float, float]]:
-        return [(float(self.grid.t[i]), float(self.grid.t[j])) for i, j in self.loci]
 
 
 def _false_runs(flags: np.ndarray) -> tuple[tuple[int, int], ...]:

@@ -149,7 +149,7 @@ class TestResiduals:
 class TestActions:
     def test_identity_action(self):
         curve = smooth_curve(TimeGrid.uniform(11))
-        out = apply_action(curve, SpatioTemporalAction.identity())
+        out = apply_action(curve, SpatioTemporalAction(np.eye(3), np.eye(3)))
         assert np.abs(out.values - curve.values).max() == 0.0
 
     def test_identity_warp_knots(self):

@@ -40,7 +40,7 @@ def record_text(kind):
                                         smooth_curve(grid), grid, 5, 8)
         data = dict(rio.tube_to_dict(build_tube(sample, 0.05)), note="Käthe")
     else:
-        data = dict(rio.action_to_dict(SpatioTemporalAction.identity()), note="Käthe")
+        data = dict(rio.action_to_dict(SpatioTemporalAction(np.eye(3), np.eye(3))), note="Käthe")
     return json.dumps(data, ensure_ascii=False)
 
 
@@ -426,7 +426,7 @@ class TestRecords:
         assert str(path) in str(info.value) and "'cov_upper'" in str(info.value)
 
     def test_nan_warp_knot_names_the_file(self, tmp_path):
-        record = rio.action_to_dict(SpatioTemporalAction.identity())
+        record = rio.action_to_dict(SpatioTemporalAction(np.eye(3), np.eye(3)))
         record["warp"] = [[0.0, 0.0], [float("nan"), 0.5], [1.0, 1.0]]
         path = tmp_path / "nan_warp.json"
         path.write_text(json.dumps(record))
@@ -457,7 +457,7 @@ class TestRecords:
                 rio.action_from_json(str(path))
 
     def test_bad_alignment_rotations_name_the_file(self, tmp_path):
-        record = rio.action_to_dict(SpatioTemporalAction.identity())
+        record = rio.action_to_dict(SpatioTemporalAction(np.eye(3), np.eye(3)))
         reflection = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0]
         for field in ("p", "q"):
             path = tmp_path / f"{field}.json"
@@ -551,7 +551,7 @@ class TestRecords:
         for record in (rio.tube_to_dict(tube),
                        rio.coverage_report_to_dict(report),
                        rio.overlap_report_to_dict(compare_tubes(tube, tube)),
-                       rio.action_to_dict(SpatioTemporalAction.identity())):
+                       rio.action_to_dict(SpatioTemporalAction(np.eye(3), np.eye(3)))):
             assert record["schema"] == "rotubes/1"
 
 
@@ -559,7 +559,7 @@ class TestManifestAlignment:
     def test_identity_action_keeps_sample(self):
         grid = TimeGrid.uniform(9)
         sample = CurveSample(grid, np.stack([smooth_curve(grid, 0.3, p).values for p in range(4)]))
-        out = apply_action(sample, SpatioTemporalAction.identity())
+        out = apply_action(sample, SpatioTemporalAction(np.eye(3), np.eye(3)))
         assert np.abs(out.values - sample.values).max() == 0.0
 
     def test_sample_action_equals_per_curve_action(self):
@@ -654,6 +654,28 @@ class TestCli:
         assert self.run("compare", "--tube-a", tube_a, "--tube-b", tube_b,
                         "--alignment", align, "--out", out) == 0
         assert all(json.load(open(out))["overlap"])
+
+    @pytest.mark.parametrize("amp, summary", [
+        (0.0, "tubes overlap everywhere"),
+        (0.2, "non-overlap loci (cycle percent): 15%-38%, 60%-88%"),
+    ], ids=["overlap", "two_loci"])
+    def test_compare_prints_the_loci_in_cycle_percent(self, tmp_path, capsys, amp, summary):
+        # Session B's center turns about z by amp * sin(2 pi t); on 41 points
+        # the loci end at 37.5 % and 87.5 %, which print rounded half to even.
+        grid = TimeGrid.uniform(41)
+        path = np.zeros((41, 3))
+        path[:, 2] = amp * np.sin(2.0 * np.pi * grid.t)
+        tubes = []
+        for label, center, seed in (("a", RotationCurve.identity(grid), 11),
+                                    ("b", RotationCurve(grid, so3.exp_so3(path)), 12)):
+            sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.02),
+                                            center, grid, 6, seed)
+            tubes.append(str(tmp_path / f"{label}.json"))
+            rio.atomic_write_json(tubes[-1], rio.tube_to_dict(build_tube(sample, 0.05)))
+        capsys.readouterr()
+        assert self.run("compare", "--tube-a", tubes[0], "--tube-b", tubes[1],
+                        "--out", str(tmp_path / "loci.json")) == 0
+        assert capsys.readouterr().out.splitlines()[0] == summary
 
     def test_manifest_session_matches_input_directory(self, tmp_path, capsys):
         grid = TimeGrid.uniform(11)

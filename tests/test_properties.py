@@ -122,7 +122,8 @@ def _tube_record():
 
 RECORDS = {
     "tube": (_tube_record(), rio.tube_from_json),
-    "alignment": (rio.action_to_dict(SpatioTemporalAction.identity()), rio.action_from_json),
+    "alignment": (rio.action_to_dict(SpatioTemporalAction(np.eye(3), np.eye(3))),
+                  rio.action_from_json),
     "manifest": ({"sessions": {"A": ["a.csv"]}, "grid_size": 11,
                   "euler_convention": {"axes": "zxy", "mode": "intrinsic"}},
                  rio.DatasetManifest.from_json),

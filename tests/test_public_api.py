@@ -19,14 +19,13 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(rotubes.__path__, "rotubes
 
 @pytest.mark.parametrize("name", MODULES)
 def test_module_all_resolves(name):
-    module = importlib.import_module(name)
-    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
-    assert missing == []
+    # The import list in rotubes/__init__.py is the package's one export list;
+    # no submodule keeps a second copy of it in __all__.
+    assert not hasattr(importlib.import_module(name), "__all__")
 
 
 def test_package_reexports_are_public_names():
-    # Each name rotubes re-exports is the module's own object and, where the
-    # module declares __all__, listed there.
+    # Each name rotubes re-exports is the module's own object.
     with open(rotubes.__file__) as fh:
         tree = ast.parse(fh.read())
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
@@ -35,29 +34,55 @@ def test_package_reexports_are_public_names():
         module = importlib.import_module(f"rotubes.{node.module}")
         for alias in node.names:
             assert getattr(rotubes, alias.name) is getattr(module, alias.name)
-            assert alias.name in getattr(module, "__all__", [alias.name]), alias.name
 
 
-# Exported for library users although no module of the package calls them.
-KEPT_EXPORTS = {"curve_length", "length_loss", "geodesic_distance", "mc_quantile_oracle"}
+# Public, yet called by no module of the package: exports for library users,
+# the writers of two formats the package reads, and the console-script entry.
+KEPT = {"curves.curve_length", "curves.length_loss", "so3.geodesic_distance",
+        "simulation.mc_quantile_oracle", "io.write_curve_csv", "io.action_to_dict",
+        "cli.main"}
+
+
+def _terminal(node):
+    """`b` of the reference `a.b`, or the referenced name itself."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
 def test_every_export_is_used_by_the_package():
-    # A re-exported name must be referenced in a package module other than
-    # __init__.  References are read from the syntax tree, so a mention in a
-    # docstring does not count, nor does the def or class statement itself.
+    # Every public module-level function and class, and every public method or
+    # classmethod, defined in the package is referenced by a package module
+    # other than __init__.  References are read from the syntax tree, so a
+    # mention in a docstring does not count, nor does the def or class
+    # statement itself.  `Cls.meth` credits the method of class Cls only;
+    # `obj.meth` credits every method named meth.  Dunders and properties are
+    # left out.
     package = Path(rotubes.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in package.glob("*.py") if path.name != "__init__.py"}
+    functions, methods = {}, {}              # name -> qualified names
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                functions.setdefault(node.name, set()).add(f"{stem}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                        and not any(_terminal(d) in ("property", "setter")
+                                    for d in item.decorator_list)):
+                    methods.setdefault(item.name, set()).add(f"{stem}.{node.name}.{item.name}")
     used = set()
-    for path in package.glob("*.py"):
-        if path.name != "__init__.py":
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-    exported = {alias.name for node in ast.parse(Path(rotubes.__file__).read_text()).body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert sorted(exported - used - KEPT_EXPORTS) == []
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = _terminal(node) if isinstance(node, (ast.Name, ast.Attribute)) else None
+            used |= functions.get(name, set())
+            if isinstance(node, ast.Attribute):
+                owner = _terminal(node.value)
+                used |= {q for q in methods.get(name, ())
+                         if owner not in functions or q.split(".")[1] == owner}
+    defined = set().union(*functions.values(), *methods.values())
+    assert KEPT <= defined
+    assert sorted(defined - used - KEPT) == []
 
 
 def test_import_loads_no_pipeline_modules():
