@@ -14,8 +14,10 @@ sigma-scaled error vector.
 
 All sampling is keyed off integer seeds: coordinate d of curve m draws from
 default_rng(SeedSequence(key + (m,), spawn_key=(d,))), so results do not depend
-on execution order.  _keyed_streams restates that seeding for a whole sample in
-one stacked pass; tests/test_simulation.py checks it against numpy bit for bit.
+on execution order.  _keyed_streams restates that seeding for a chunk of
+replications (key + (r, m) for replication r) in one stacked pass, from which
+the chunk's paths are drawn in one pass; tests/test_simulation.py checks both
+against numpy and one replication at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ _OU_RATE = 5.0
 _BUMP_CENTERS = np.arange(10) / 9.0
 _BUMP_WIDTH = 0.2
 _MAX_SIGMA = 1e150        # exp_so3 squares the angle: sigma = 1e300 overflows it
+_CHUNK_POINTS = 2 ** 13   # sampled curve points per keyed pass of coverage_experiment
 
 # SeedSequence's hash constants (numpy.random.bit_generator), PCG64's multiplier.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -158,10 +161,11 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _keyed_streams(key: tuple, n: int):
-    """Yields default_rng(SeedSequence(key + (m,), spawn_key=(d,))) for m < n, d < 3, as
-    one Generator re-stated to each stream's PCG64 state.  Key words that fill the pool
-    are hashed once, as Python ints; m and d as uint32 arrays, one entry per stream."""
+def _keyed_streams(key: tuple, n: int, reps: range | None = None):
+    """Yields default_rng(SeedSequence(key + (m,), spawn_key=(d,))) for m < n, d < 3 (with
+    reps: key + (r, m) for each r in reps), as one Generator re-stated to each stream's
+    PCG64 state.  Key words that fill the pool are hashed once, as Python ints; r, m and d
+    as uint32 arrays, one entry per stream."""
     words = []
     for v in key:
         if not isinstance(v, numbers.Integral):
@@ -169,8 +173,11 @@ def _keyed_streams(key: tuple, n: int):
         if v < 0:
             raise ValueError("expected non-negative integer")
         words += [int(v) >> s & _MASK for s in range(0, max(int(v).bit_length(), 1), 32)]
-    entropy = words + [np.arange(n, dtype=np.uint32).repeat(3)]     # run entropy: key, m
-    entropy += [0] * (4 - len(entropy)) + [np.tile(np.arange(3, dtype=np.uint32), n)]  # pad, d
+    if reps and not 0 <= min(reps[0], reps[-1]) <= max(reps[0], reps[-1]) <= _MASK:
+        raise ValueError(f"replication indices must lie in [0, 2**32), got {reps}")
+    r, m, d = np.indices((len(reps) if reps is not None else 1, n, 3), np.uint32).reshape(3, -1)
+    entropy = words + ([] if reps is None else [np.array(reps, np.uint32)[r]]) + [m]
+    entropy += [0] * (4 - len(entropy)) + [d]                   # pad run entropy, spawn key
     c = [a := _INIT_A] + [a := a * _MULT_A & _MASK for _ in range(4 * len(entropy))]
     pool = [_hashmix(w, c[i], c[i + 1]) for i, w in enumerate(entropy[:4])]
     for k, (src, dst) in enumerate(itertools.permutations(range(4), 2), start=4):
@@ -179,26 +186,33 @@ def _keyed_streams(key: tuple, n: int):
     for k in range(4, len(entropy)):            # each later word into all 4 pool words
         pool = _mix(pool, _hashmix(entropy[k], c[4 * k:4 * k + 4], c[4 * k + 1:4 * k + 5]))
     b = np.array([a := _INIT_B] + [a := a * _MULT_B & _MASK for _ in range(8)], np.uint32)
-    out = _hashmix(np.tile(pool, (2, 1)), b[:-1, None], b[1:, None])   # generate_state(4, uint64)
-    gen = np.random.default_rng(0)
-    for w in zip(*out.tolist()):
-        s = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
-        inc = ((w[4] | w[5] << 32) << 65 | (w[6] | w[7] << 32) << 1 | 1) & _MASK128
-        pcg = {"state": ((inc + s) * _PCG_MULT + inc) & _MASK128, "inc": inc}
-        gen.bit_generator.state = dict(bit_generator="PCG64", state=pcg, has_uint32=0, uinteger=0)
+    out = _hashmix(np.tile(pool, (2, 1)), b[:-1, None], b[1:, None]).astype(np.uint64)
+    s_hi, s_lo, q_hi, q_lo = out[0::2] | out[1::2] << 32    # generate_state(4, uint64)
+    gen, pcg = np.random.default_rng(0), {}
+    state = dict(bit_generator="PCG64", state=pcg, has_uint32=0, uinteger=0)
+    for sh, sl, ih, il in zip(s_hi.tolist(), s_lo.tolist(), (q_hi << 1 | q_lo >> 63).tolist(),
+                              (q_lo << 1 | 1).tolist()):       # inc = 2 * seq + 1 mod 2**128
+        inc = ih << 64 | il
+        pcg.update(state=((inc + (sh << 64 | sl)) * _PCG_MULT + inc) & _MASK128, inc=inc)
+        gen.bit_generator.state = state
         yield gen
 
 
 def sample_gp_sample(spec: ErrorProcessSpec, center: RotationCurve, grid: TimeGrid,
-                     n: int, seed) -> tuple[CurveSample, np.ndarray]:
+                     n: int, seed, reps: range | None = None):
     """N model curves plus their generating paths, shape (N, K, 3).
 
     seed is an integer or a key tuple of integers; curve m draws from the
-    substreams keyed (seed..., m).
+    substreams keyed (seed..., m).  Given reps, a whole chunk of replications is
+    seeded and drawn in one pass, and the result is one (sample, paths) pair per
+    r in reps, curve m of sample r keyed (seed..., r, m): bit for bit the pair of
+    sample_gp_sample(..., seed + (r,)).  Indices r must lie in [0, 2**32).
     """
     key = (seed,) if isinstance(seed, numbers.Integral) else tuple(seed)
-    paths = _generating_paths(spec, grid, _keyed_streams(key, n))
-    return CurveSample(grid, center.values @ so3.exp_so3(paths)), paths
+    chunk = _generating_paths(spec, grid, _keyed_streams(key, n, reps))
+    chunk = chunk.reshape((-1, n) + chunk.shape[1:])
+    pairs = [(CurveSample(grid, center.values @ so3.exp_so3(p)), p) for p in chunk]
+    return pairs if reps is not None else pairs[0]
 
 
 def _check_design(n: int, reps: int) -> None:
@@ -224,6 +238,9 @@ def coverage_experiment(spec: ErrorProcessSpec, n: int, reps: int,
     tubes are nested.  They are tested narrowest first (by quantile, not by
     alpha), and the first that holds the center decides it for every wider
     one.
+
+    Replications are drawn in chunks of about _CHUNK_POINTS curve points, one keyed
+    sample_gp_sample pass each, with the same bits as one replication at a time.
     """
     _check_design(n, reps)
     grid = grid if grid is not None else TimeGrid.uniform(GRID_SIZE)
@@ -233,18 +250,20 @@ def coverage_experiment(spec: ErrorProcessSpec, n: int, reps: int,
 
     covered = np.zeros((reps, len(alphas)), dtype=bool)
     n_singular = 0
-    for rep in range(reps):
-        sample, _ = sample_gp_sample(spec, center, grid, n, key + (rep,))
-        try:
-            ing = tubes.tube_ingredients(sample)
-            built = [tubes.assemble_tube(ing, alpha) for alpha in alphas]
-            order = sorted(range(len(alphas)), key=lambda a: built[a].hquant)
-            for pos, a_idx in enumerate(order):
-                if tubes.tube_contains(built[a_idx], center)[1]:
-                    covered[rep, order[pos:]] = True
-                    break
-        except SingularCovariance:
-            n_singular += 1
+    chunk = max(1, _CHUNK_POINTS // (n * len(grid)))
+    for start in range(0, reps, chunk):
+        drawn = sample_gp_sample(spec, center, grid, n, key, range(start, min(start + chunk, reps)))
+        for rep, (sample, _) in enumerate(drawn, start):
+            try:
+                ing = tubes.tube_ingredients(sample)
+                built = [tubes.assemble_tube(ing, alpha) for alpha in alphas]
+                order = sorted(range(len(alphas)), key=lambda a: built[a].hquant)
+                for pos, a_idx in enumerate(order):
+                    if tubes.tube_contains(built[a_idx], center)[1]:
+                        covered[rep, order[pos:]] = True
+                        break
+            except SingularCovariance:
+                n_singular += 1
 
     if n_singular > 0.001 * reps:
         raise SingularCovariance(

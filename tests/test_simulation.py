@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import rotubes as rt
-from rotubes import battery, tubes
+from rotubes import battery, simulation, tubes
 from rotubes.curves import RotationCurve, TimeGrid
 from rotubes.errors import SingularCovariance
 from rotubes.simulation import (MIXING_MATRICES, _error_paths, _generating_paths,
@@ -156,6 +157,25 @@ class TestGpSampling:
         assert np.array_equal(large_paths[:4], small_paths)
         assert np.array_equal(large.values[:4], small.values)
 
+    @pytest.mark.parametrize("family", [1, 2, 3])
+    @pytest.mark.parametrize("grid", [TimeGrid.uniform(101),
+                                      TimeGrid(np.linspace(0.0, 1.0, 41) ** 1.5)],
+                             ids=["uniform", "nonuniform"])
+    def test_chunk_is_its_replications_bitwise(self, family, grid):
+        # One keyed pass over reps gives each replication's sample and paths, as
+        # a call keyed (seed..., r) gives them, to the last bit.
+        spec = rt.ErrorProcessSpec(family, 3, 2, 0.1)
+        center = RotationCurve(grid, rt.exp_so3(np.stack([0.3 * grid.t, 0.1 * np.sin(grid.t),
+                                                          0.2 * grid.t ** 2], -1)))
+        reps = range(4, 9)
+        chunk = rt.sample_gp_sample(spec, center, grid, 6, (2026, family), reps)
+        assert len(chunk) == len(reps)
+        for r, (sample, paths) in zip(reps, chunk):
+            alone, alone_paths = rt.sample_gp_sample(spec, center, grid, 6, (2026, family, r))
+            assert paths.shape == alone_paths.shape == (6, len(grid), 3)
+            assert paths.tobytes() == alone_paths.tobytes(), r
+            assert sample.values.tobytes() == alone.values.tobytes(), r
+
     def test_paths_are_pinned_bitwise(self):
         # float.hex of path entries (curve, grid index, coordinate) of
         # sample_gp_sample(A(i, 3, 2, 0.1), n=4, seed=(2026, 7)) per family.
@@ -203,6 +223,40 @@ class TestKeyedStreams:
                 for width in (2, 10, 101):
                     assert np.array_equal(got.standard_normal(width), ref.standard_normal(width))
         assert next(streams, None) is None
+
+    @given(key=st.lists(key_ints, max_size=4).map(tuple), n=st.integers(1, 4),
+           start=st.integers(0, 2 ** 32 - 1) | st.integers(0, 20), count=st.integers(1, 3))
+    @example(key=(), n=2, start=0, count=3)
+    @example(key=(2 ** 40 + 3, 9), n=3, start=7, count=2)
+    @example(key=(2026, 7), n=1, start=2 ** 32 - 1, count=1)
+    def test_chunk_streams_are_numpys_seed_sequence_streams(self, key, n, start, count):
+        # With reps, stream (r, m, d) is the stream keyed key + (r, m): a chunk
+        # of replications is seeded as its replications would be one by one.
+        reps = range(start, min(start + count, 2 ** 32))
+        streams = _keyed_streams(key, n, reps)
+        for r in reps:
+            for m in range(n):
+                for d in range(3):
+                    got = next(streams)
+                    ref = np.random.default_rng(
+                        np.random.SeedSequence(key + (r, m), spawn_key=(d,)))
+                    assert got.bit_generator.state == ref.bit_generator.state, (r, m, d)
+                    for width in (2, 10, 101):
+                        assert np.array_equal(got.standard_normal(width),
+                                              ref.standard_normal(width))
+        assert next(streams, None) is None
+
+    @pytest.mark.parametrize("reps", [range(2 ** 32 - 1, 2 ** 32 + 1), range(2 ** 32, 2 ** 32 + 3),
+                                      range(-1, 2), range(2, -3, -1)])
+    def test_rep_indices_outside_one_entropy_word_are_refused(self, reps):
+        # A rep index must be one 32-bit entropy word; numpy alone would raise
+        # a bare OverflowError, or hash a two-word index as two keys.
+        grid = TimeGrid.uniform(11)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            next(_keyed_streams((5,), 2, reps))
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.1),
+                                RotationCurve.identity(grid), grid, 2, 5, reps)
 
     @pytest.mark.parametrize("key, error, message", [
         ((3, -1), ValueError, "expected non-negative integer"),
@@ -360,6 +414,33 @@ class TestCoverageExperiment:
             if inside[0]:
                 assert len(quants) == 1
         assert {len(rep["tested"]) == 1 for rep in reps} == {True, False}
+
+    @pytest.mark.parametrize("cell", [(1, 2, 2, 0.1, 5, 21), (3, 3, 2, 0.1, 6, 31)])
+    def test_report_does_not_depend_on_the_chunk_size(self, cell, monkeypatch):
+        spec, n, grid = rt.ErrorProcessSpec(*cell[:4]), cell[4], TimeGrid.uniform(cell[5])
+        reports = []
+        for reps_per_chunk in (None, 1, 3):
+            if reps_per_chunk is not None:
+                monkeypatch.setattr(simulation, "_CHUNK_POINTS", reps_per_chunk * n * len(grid))
+            reports.append(rt.coverage_experiment(spec, n, 11, [0.15, 0.05], grid, seed=(3, 1)))
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].n_singular == 0
+
+    def test_samples_are_drawn_once_per_chunk(self, monkeypatch):
+        calls = []
+        sample = simulation.sample_gp_sample
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[5]))
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "sample_gp_sample", counted)
+        n, reps, grid = 10, 40, TimeGrid.uniform(101)
+        rt.coverage_experiment(rt.ErrorProcessSpec(1, 1, 1, 0.1), n, reps, [0.1], grid, seed=4)
+        per_chunk = max(1, simulation._CHUNK_POINTS // (n * len(grid)))
+        assert per_chunk > 1
+        assert len(calls) <= math.ceil(reps / per_chunk)
+        assert sum(calls) == reps and max(calls) <= per_chunk
 
     def test_bench_coverage_hooks_fire(self, monkeypatch):
         # bench/run.py --trace 1 exits 2 when a coverage hook never fires, so
