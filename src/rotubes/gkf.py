@@ -24,8 +24,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.special import cython_special
 
 from .errors import (InvalidDof, NoConvergence, NonMonotoneBracket, NoRoot,
                      ZeroResidualColumn)
@@ -53,10 +51,12 @@ class EcContext:
 
 
 @functools.lru_cache(maxsize=64)
-def _rho2_scale(n: int) -> float:
-    """(2 pi)^-1.5 Gamma(n / 2) / Gamma((n - 1) / 2) / sqrt((n - 1) / 2), rounded left to right."""
-    gamma_ratio = math.exp(special.gammaln(n / 2.0) - special.gammaln((n - 1) / 2.0))
-    return _TWO_PI ** -1.5 * gamma_ratio / math.sqrt((n - 1) / 2.0)
+def _n_constants(n: int) -> tuple:
+    """(2 pi)^-1.5 Gamma(n / 2) / Gamma((n - 1) / 2) / sqrt((n - 1) / 2), rounded left
+    to right, and Student's t CDF, from scipy.special loaded at the first call."""
+    from scipy.special import cython_special, gammaln
+    gamma_ratio = math.exp(gammaln(n / 2.0) - gammaln((n - 1) / 2.0))
+    return _TWO_PI ** -1.5 * gamma_ratio / math.sqrt((n - 1) / 2.0), cython_special.stdtr
 
 
 def _ec_densities(t: float, n: int) -> tuple:
@@ -67,9 +67,10 @@ def _ec_densities(t: float, n: int) -> tuple:
     """
     nu = n - 1
     base = (1.0 + t * t / nu) ** (1.0 - n / 2.0)
-    return (cython_special.stdtr(float(nu), -t),
+    rho2_scale, stdtr = _n_constants(n)
+    return (stdtr(float(nu), -t),
             base / _TWO_PI,
-            _rho2_scale(n) * t * base,
+            rho2_scale * t * base,
             _RHO3_SCALE * ((n - 2.0) / nu * t * t - 1.0) * base)
 
 

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from . import so3
 from .curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid, _bracket,
@@ -49,11 +48,6 @@ class EulerConvention:
     @property
     def scipy_seq(self) -> str:
         return self.axes.upper() if self.mode == "intrinsic" else self.axes
-
-    @property
-    def is_proper_euler(self) -> bool:
-        """First and third axis equal (zxz style); middle angle singular at 0, 180 deg."""
-        return self.axes[0] == self.axes[2]
 
 
 @dataclass(frozen=True)
@@ -231,6 +225,7 @@ def _session_rotations(files: list, convention: EulerConvention) -> np.ndarray:
     euler = np.concatenate([np.full(len(t), t.shape[1] == 3) for t in tables])
     values = np.empty((len(euler), 3, 3))
     if euler.any():
+        from scipy.spatial.transform import Rotation
         angles = np.concatenate([t for t in tables if t.shape[1] == 3])
         values[euler] = Rotation.from_euler(convention.scipy_seq, angles,
                                             degrees=True).as_matrix()
@@ -258,12 +253,13 @@ def export_euler(curve: RotationCurve,
     the third angle is set to zero, the ambiguity is folded into the first,
     and the row is flagged.
     """
+    from scipy.spatial.transform import Rotation
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*[Gg]imbal lock.*")
         angles = Rotation.from_matrix(np.asarray(curve.values)).as_euler(
             conv.scipy_seq, degrees=True)
     middle = angles[:, 1]
-    if conv.is_proper_euler:
+    if conv.axes[0] == conv.axes[2]:        # proper Euler (zxz): singular at 0, 180 deg
         lock = np.minimum(np.abs(middle), np.abs(180.0 - np.abs(middle))) <= 1e-9
     else:
         lock = np.abs(90.0 - np.abs(middle)) <= 1e-9

@@ -246,13 +246,12 @@ def coverage_experiment(spec: ErrorProcessSpec, n: int, reps: int,
     grid = grid if grid is not None else TimeGrid.uniform(GRID_SIZE)
     alphas = [float(a) for a in alphas]
     center = RotationCurve.identity(grid)
-    key = (seed,) if isinstance(seed, numbers.Integral) else tuple(seed)
 
     covered = np.zeros((reps, len(alphas)), dtype=bool)
     n_singular = 0
     chunk = max(1, _CHUNK_POINTS // (n * len(grid)))
     for start in range(0, reps, chunk):
-        drawn = sample_gp_sample(spec, center, grid, n, key, range(start, min(start + chunk, reps)))
+        drawn = sample_gp_sample(spec, center, grid, n, seed, range(reps)[start:start + chunk])
         for rep, (sample, _) in enumerate(drawn, start):
             try:
                 ing = tubes.tube_ingredients(sample)

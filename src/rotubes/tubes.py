@@ -196,7 +196,6 @@ def _min_mahalanobis_to_other(D: np.ndarray, L: np.ndarray, B: np.ndarray,
     the solution rescaled into the ball; a start that ends unconverged above
     the threshold 1 raises NoConvergence.
     """
-    # Imported here: at module level scipy.optimize adds ~0.25 s to `import rotubes`.
     from scipy.optimize import minimize
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -223,6 +226,20 @@ class TestSolveQuantile:
             got = tuple(solve_quantile(alpha, EcContext(n, 4.3)).hex()
                         for alpha in (0.15, 0.10, 0.05))
             assert got == expected, n
+
+    def test_first_solves_in_a_fresh_interpreter_are_pinned(self):
+        # scipy.special loads at the first EC evaluation of a sample size; these
+        # first calls, each through that import, give the recorded floats.
+        code = ("from rotubes.gkf import EcContext, expected_ec, solve_quantile; print("
+                "solve_quantile(0.05, EcContext(15, 4.3)).hex(), "
+                "solve_quantile(0.15, EcContext(10, 2.5)).hex(), "
+                "solve_quantile(0.10, EcContext(30, 7.0)).hex(), "
+                "expected_ec(12.5, EcContext(8, 3.0)).hex())")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gkf.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["0x1.859ee07f6030cp+4", "0x1.508755f02f93cp+4",
+                               "0x1.e491a77f1ebf8p+3", "0x1.37ad33cd98826p-1"]
 
     def test_monotone_in_alpha(self):
         ctx = EcContext(10, np.pi / 2.0)

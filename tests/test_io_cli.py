@@ -68,7 +68,6 @@ class TestEulerConvention:
     def test_scipy_sequence_casing(self):
         assert rio.EulerConvention("zxy", "intrinsic").scipy_seq == "ZXY"
         assert rio.EulerConvention("zxy", "extrinsic").scipy_seq == "zxy"
-        assert rio.EulerConvention("zxz").is_proper_euler
 
 
 class TestIngest:
@@ -320,6 +319,18 @@ class TestExportEuler:
         assert lock[0] and not lock[1]
         assert table[0, 3] == 0.0
         recomposed = (axis_rotation("z", table[0, 1]) @ axis_rotation("x", table[0, 2]))
+        assert np.abs(recomposed - locked).max() <= 1e-9
+
+    def test_proper_euler_lock_at_zero_middle_angle(self):
+        # zxz factors are singular where the middle angle is 0 (or 180 degrees).
+        grid = TimeGrid.uniform(2)
+        locked = axis_rotation("z", 25.0) @ axis_rotation("z", 10.0)
+        free = axis_rotation("z", 10.0) @ axis_rotation("x", 30.0) @ axis_rotation("z", 5.0)
+        table, lock = rio.export_euler(RotationCurve(grid, np.stack([locked, free])),
+                                       rio.EulerConvention("zxz", "intrinsic"))
+        assert lock[0] and not lock[1]
+        assert table[0, 3] == 0.0
+        recomposed = axis_rotation("z", table[0, 1]) @ axis_rotation("x", table[0, 2])
         assert np.abs(recomposed - locked).max() <= 1e-9
 
 
@@ -842,6 +853,37 @@ class TestCli:
                                     for n in range(5)], 11)
         assert records["walks[12]"] == rio.tube_to_dict(build_tube(own, 0.05))
         assert records["walks[12]"] != records["walks1"]
+
+    @pytest.mark.parametrize("command, schema, loaded", [
+        ("compare", "matrix", []),
+        ("tube", "matrix", ["scipy.special"]),
+        ("tube", "euler", ["scipy.special", "scipy.spatial"])])
+    def test_a_command_loads_only_the_scipy_it_runs(self, tmp_path, command, schema, loaded):
+        # One command in a fresh interpreter, as a user runs it.  A tube compared
+        # with itself is decided by the array certificates, so SLSQP never runs.
+        grid = TimeGrid.uniform(11)
+        sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.05),
+                                        smooth_curve(grid), grid, 5, 4)
+        for n in range(5):
+            path, curve = str(tmp_path / f"walk{n}.csv"), RotationCurve(grid, sample.values[n])
+            if schema == "matrix":
+                rio.write_curve_csv(path, curve)
+            else:
+                table, _ = rio.export_euler(curve, rio.EulerConvention())
+                Path(path).write_text("t,angle1,angle2,angle3\n" + "".join(
+                    ",".join(map(repr, row)) + "\n" for row in table.tolist()))
+        tube = str(tmp_path / "tube.json")
+        rio.atomic_write_json(tube, rio.tube_to_dict(build_tube(sample, 0.05)))
+        argv = {"tube": ["tube", "--input", str(tmp_path), "--alpha", "0.05", "--grid-size", "11"],
+                "compare": ["compare", "--tube-a", tube, "--tube-b", tube]}[command]
+        parts = ["scipy.special", "scipy.spatial", "scipy.optimize"]
+        code = ("import sys; from rotubes.cli import cli_main; status = cli_main(sys.argv[1:]); "
+                f"print(*[m for m in {parts!r} if m in sys.modules]); sys.exit(status)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rio.__file__)))
+        run = subprocess.run([sys.executable, "-c", code, *argv, "--out",
+                              str(tmp_path / "out.json")], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1].split() == loaded
 
     @pytest.mark.parametrize("command", ["simulate-coverage", "tube", "compare",
                                          "export-euler", "battery"])

@@ -85,16 +85,31 @@ def test_every_export_is_used_by_the_package():
     assert sorted(defined - used - KEPT) == []
 
 
-def test_import_loads_no_pipeline_modules():
-    # `import rotubes` stays light: the optimizer, the rotation parser, the
-    # file formats and the CLI (whose parser is built at import) load on use.
-    heavy = ["scipy.optimize", "scipy.spatial", "rotubes.io", "rotubes.cli"]
-    code = f"import sys, rotubes; print([m for m in {heavy!r} if m in sys.modules])"
+def modules_loaded_by(statement):
+    """The names in sys.modules after `statement` runs in a fresh interpreter."""
+    code = f"import sys; {statement}; print(*sys.modules)"
     src = os.path.dirname(os.path.dirname(rotubes.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return set(out.split())
+
+
+def scipy_modules(names):
+    return sorted(m for m in names if m == "scipy" or m.startswith("scipy."))
+
+
+def test_import_loads_no_pipeline_modules():
+    # `import rotubes` stays light: scipy (each part is imported where it runs),
+    # the file formats and the CLI (whose parser is built at import) load on use.
+    loaded = modules_loaded_by("import rotubes")
+    heavy = ["scipy.optimize", "scipy.spatial", "rotubes.io", "rotubes.cli"]
+    assert [m for m in heavy if m in loaded] == []
+    assert scipy_modules(loaded) == []
+
+
+def test_cli_import_loads_no_scipy():
+    assert scipy_modules(modules_loaded_by("import rotubes.cli")) == []
 
 
 def test_bench_hook_targets_are_bound():
