@@ -18,8 +18,9 @@ from .errors import GridMismatch
 GRID_SIZE = 101          # points of the default uniform grid (simulations and the CLI)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _freeze(a: np.ndarray, dtype=float) -> np.ndarray:
+    """The one read-only rule of value-type arrays: a contiguous copy only where needed."""
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -31,14 +32,14 @@ class TimeGrid:
     t: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float).reshape(-1)
+        t = _freeze(self.t).reshape(-1)
         if t.size < 2:
             raise ValueError("grid needs at least 2 points")
         if not (t[0] == 0.0 and t[-1] == 1.0):
             raise ValueError("grid must start at 0 and end at 1")
         if not np.all(np.diff(t) > 0):          # NaN fails too
             raise ValueError("grid must be strictly increasing")
-        object.__setattr__(self, "t", _freeze(t))
+        object.__setattr__(self, "t", t)
 
     @classmethod
     def uniform(cls, size: int) -> "TimeGrid":
@@ -64,11 +65,11 @@ class RotationCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _freeze(self.values)
         if v.shape != (len(self.grid), 3, 3):
             raise ValueError(f"values must have shape ({len(self.grid)}, 3, 3), got {v.shape}")
         so3.check_rotation(v)
-        object.__setattr__(self, "values", _freeze(v))
+        object.__setattr__(self, "values", v)
 
     @classmethod
     def identity(cls, grid: TimeGrid) -> "RotationCurve":
@@ -83,11 +84,11 @@ class CurveSample:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _freeze(self.values)
         if v.ndim != 4 or v.shape[1:] != (len(self.grid), 3, 3):
             raise ValueError(f"values must have shape (N, {len(self.grid)}, 3, 3), got {v.shape}")
         so3.check_rotation(v)
-        object.__setattr__(self, "values", _freeze(v))
+        object.__setattr__(self, "values", v)
 
     @property
     def size(self) -> int:
@@ -108,11 +109,11 @@ class SpatioTemporalAction:
     warp_knots: np.ndarray = field(default_factory=lambda: np.array([[0.0, 0.0], [1.0, 1.0]]))
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        so3.check_rotation(p)
-        so3.check_rotation(q)
-        knots = np.asarray(self.warp_knots, dtype=float)
+        for name in ("p", "q", "warp_knots"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        so3.check_rotation(self.p)
+        so3.check_rotation(self.q)
+        knots = self.warp_knots
         if knots.ndim != 2 or knots.shape[1] != 2 or knots.shape[0] < 2:
             raise ValueError("warp_knots must be an (n >= 2, 2) array")
         if not np.all(np.diff(knots, axis=0) > 0):         # NaN fails too
@@ -120,9 +121,6 @@ class SpatioTemporalAction:
         if not (knots[0, 0] == 0.0 and knots[0, 1] == 0.0
                 and knots[-1, 0] == 1.0 and knots[-1, 1] == 1.0):
             raise ValueError("warp must fix the endpoints 0 and 1")
-        object.__setattr__(self, "p", _freeze(p))
-        object.__setattr__(self, "q", _freeze(q))
-        object.__setattr__(self, "warp_knots", _freeze(knots))
 
     def warp(self, t: np.ndarray) -> np.ndarray:
         return np.interp(t, self.warp_knots[:, 0], self.warp_knots[:, 1])

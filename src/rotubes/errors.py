@@ -1,6 +1,13 @@
-"""Domain exceptions shared across the package."""
+"""Domain exceptions and the integer-field rule, shared across the package."""
 
 from __future__ import annotations
+
+import numbers
+
+
+def _is_int(value) -> bool:
+    """The rule of every integer field: an Integral, numpy's included, that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class RotubesError(Exception):

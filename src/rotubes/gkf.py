@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (InvalidDof, NoConvergence, NonMonotoneBracket, NoRoot,
-                     ZeroResidualColumn)
+                     ZeroResidualColumn, _is_int)
 
 _BRACKET_TOL = 1e-12       # well below the 1e-8 contract; keeps roots reproducible
 _SECANT_STEPS = 12         # at most; 6-10 pin a battery root to 1e-12 * h
@@ -44,7 +43,7 @@ class EcContext:
     l1: float
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 3:
+        if not (_is_int(self.n) and self.n >= 3):
             raise InvalidDof(f"need an integer N >= 3, got N = {self.n!r}")
         if not (self.l1 >= 0.0 and math.isfinite(self.l1)):
             raise ValueError(f"L1 must be finite and nonnegative, got {self.l1}")

@@ -21,7 +21,7 @@ from . import so3
 from .curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid, _bracket,
                      _geodesic)
 from .errors import (InvalidRotation, NonMonotoneTime, NonRotationRow, ParseError,
-                     SingularCovariance)
+                     SingularCovariance, _is_int)
 from .simulation import CoverageReport
 from .tubes import ConfidenceTube, OverlapReport, _check_spd
 
@@ -59,8 +59,8 @@ class DatasetManifest:
     euler_convention: EulerConvention = EulerConvention()
 
     def __post_init__(self):
-        if self.grid_size < 2:
-            raise ValueError("grid_size must be at least 2")
+        if not (_is_int(self.grid_size) and self.grid_size >= 2):
+            raise ValueError(f"grid_size must be an integer >= 2, got {self.grid_size!r}")
         if not self.sessions:
             raise ValueError("manifest needs at least one session")
         for label, paths in self.sessions.items():

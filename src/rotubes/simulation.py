@@ -31,7 +31,7 @@ import numpy as np
 
 from . import so3, tubes
 from .curves import GRID_SIZE, CurveSample, RotationCurve, TimeGrid
-from .errors import SingularCovariance
+from .errors import SingularCovariance, _is_int
 
 MIXING_MATRICES = {
     1: np.eye(3),
@@ -74,12 +74,11 @@ class ErrorProcessSpec:
     sigma: float
 
     def __post_init__(self):
-        if self.i not in (1, 2, 3):
-            raise ValueError(f"family must be 1, 2 or 3, got {self.i}")
-        if self.l not in (1, 2, 3):
-            raise ValueError(f"modulation must be 1, 2 or 3, got {self.l}")
-        if self.j not in (1, 2):
-            raise ValueError(f"mixing must be 1 or 2, got {self.j}")
+        for name, field, top in (("family", "i", 3), ("modulation", "l", 3), ("mixing", "j", 2)):
+            value = getattr(self, field)
+            if not (_is_int(value) and 1 <= value <= top):
+                raise ValueError(f"{name} {field} must be an integer in 1..{top}, got {value!r}")
+            object.__setattr__(self, field, int(value))
         if not 0.0 < self.sigma < math.inf:             # NaN fails too
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if self.sigma > _MAX_SIGMA:
@@ -215,11 +214,12 @@ def sample_gp_sample(spec: ErrorProcessSpec, center: RotationCurve, grid: TimeGr
     return pairs if reps is not None else pairs[0]
 
 
-def _check_design(n: int, reps: int) -> None:
-    if n < tubes.MIN_CURVES:
-        raise ValueError(f"need n >= {tubes.MIN_CURVES} for an invertible covariance, got {n}")
-    if reps < 1:
-        raise ValueError("need at least one replication")
+def _check_design(n: int, reps: int) -> tuple[int, int]:
+    if not (_is_int(n) and n >= tubes.MIN_CURVES):
+        raise ValueError(f"need n >= {tubes.MIN_CURVES}, an integer, for invertible S, got {n!r}")
+    if not (_is_int(reps) and reps >= 1):
+        raise ValueError(f"need an integer reps: at least one replication, got {reps!r}")
+    return int(n), int(reps)
 
 
 def coverage_experiment(spec: ErrorProcessSpec, n: int, reps: int,
@@ -242,7 +242,7 @@ def coverage_experiment(spec: ErrorProcessSpec, n: int, reps: int,
     Replications are drawn in chunks of about _CHUNK_POINTS curve points, one keyed
     sample_gp_sample pass each, with the same bits as one replication at a time.
     """
-    _check_design(n, reps)
+    n, reps = _check_design(n, reps)
     grid = grid if grid is not None else TimeGrid.uniform(GRID_SIZE)
     alphas = [float(a) for a in alphas]
     center = RotationCurve.identity(grid)
@@ -289,7 +289,7 @@ def mc_quantile_oracle(spec: ErrorProcessSpec, n: int, reps: int, alpha: float,
     mean-centered covariance of the generating process, so it is an
     independent reference for the expected-Euler-characteristic quantile.
     """
-    _check_design(n, reps)
+    n, reps = _check_design(n, reps)
     grid = grid if grid is not None else TimeGrid.uniform(GRID_SIZE)
     rng = np.random.default_rng(seed)
     maxima = np.empty(reps)

@@ -64,14 +64,10 @@ def exp_so3(a: np.ndarray) -> np.ndarray:
 
 def _transpose_times(P: np.ndarray, V: np.ndarray) -> np.ndarray:
     """P^T V per stacked matrix, summed in index order plus +0.0: every entry, the sign
-    of zero included, equals np.einsum("kij,...kil->...kjl") of P against V.  When V
-    stacks more axes than P (a sample) the products run on contiguous (3, 3, ...) copies,
-    returned as their (..., 3, 3) view; on one curve the copies do not pay."""
-    if V.ndim <= P.ndim:
-        return (P[..., 0, :, None] * V[..., 0, None, :] + P[..., 1, :, None] * V[..., 1, None, :]
-                + P[..., 2, :, None] * V[..., 2, None, :]) + 0.0
+    of zero included, equals np.einsum("kij,...kil->...kjl") of P against V.  The products
+    run on contiguous (3, 3, ...) copies, returned as their (..., 3, 3) view."""
     p, v = (np.moveaxis(X, (-2, -1), (0, 1)).copy() for X in (P, V))
-    p = p.reshape((3, 3) + (1,) * (v.ndim - p.ndim) + p.shape[2:])    # V stacks more axes
+    p = p.reshape((3, 3) + (1,) * (v.ndim - p.ndim) + p.shape[2:])    # where V stacks more axes
     return np.moveaxis((p[0, :, None] * v[0, None] + p[1, :, None] * v[1, None]
                         + p[2, :, None] * v[2, None]) + 0.0, (0, 1), (-2, -1))
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import gkf, so3
 from .curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid,
-                     _bracket, _require_same_grid, apply_action, residuals)
-from .errors import NoConvergence, SingularCovariance
+                     _bracket, _freeze, _require_same_grid, apply_action, residuals)
+from .errors import NoConvergence, SingularCovariance, _is_int
 
 MIN_CURVES = 4           # smallest sample with an invertible 3x3 covariance
 _COND_FLOOR = 1e-12      # min eigenvalue must exceed this times the max
@@ -50,12 +50,11 @@ class ConfidenceTube:
     n: int
 
     def __post_init__(self):
-        S = np.asarray(self.s, dtype=float)
-        if S.shape != (len(self.grid), 3, 3):
+        if not (_is_int(self.n) and self.n >= MIN_CURVES):
+            raise ValueError(f"n must be an integer >= {MIN_CURVES}, got {self.n!r}")
+        object.__setattr__(self, "s", _freeze(self.s))
+        if self.s.shape != (len(self.grid), 3, 3):
             raise ValueError(f"S must have shape ({len(self.grid)}, 3, 3)")
-        object.__setattr__(self, "s", S)
-        if not self.n >= MIN_CURVES:
-            raise ValueError(f"n must be at least {MIN_CURVES}, got {self.n}")
         if not (self.hquant > 0.0 and math.isfinite(self.hquant)):
             raise ValueError(f"quantile must be finite and positive, got {self.hquant}")
         if not (0.0 < self.alpha <= 0.5):
@@ -75,11 +74,10 @@ class OverlapReport:
     loci: tuple[tuple[int, int], ...] = field(init=False)   # filled from `overlap`
 
     def __post_init__(self):
-        ov = np.asarray(self.overlap, dtype=bool)
-        if ov.shape != (len(self.grid),):
+        object.__setattr__(self, "overlap", _freeze(self.overlap, bool))
+        if self.overlap.shape != (len(self.grid),):
             raise ValueError("overlap must hold one boolean per grid point")
-        object.__setattr__(self, "overlap", ov)
-        object.__setattr__(self, "loci", _false_runs(ov))
+        object.__setattr__(self, "loci", _false_runs(self.overlap))
 
 
 def _false_runs(flags: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -117,7 +115,7 @@ def tube_ingredients(sample: CurveSample,
     if sample.size < MIN_CURVES:
         raise ValueError(f"need at least {MIN_CURVES} curves, got {sample.size}")
     mean, x, xbar = residuals(sample, center)
-    S = np.einsum("nka,nkb->kab", x, x) / (sample.size - 1)
+    S = _freeze(np.einsum("nka,nkb->kab", x, x) / (sample.size - 1))
     _check_spd(S, sample.grid)
     h = None if xbar is None else np.maximum(_hotelling(sample.size, S, xbar), 0.0)
     return TubeIngredients(center=mean, s=S, l1=gkf.lkc_estimate(x), n=sample.size, h=h)

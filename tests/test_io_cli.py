@@ -565,6 +565,16 @@ class TestRecords:
                        rio.action_to_dict(SpatioTemporalAction(np.eye(3), np.eye(3)))):
             assert record["schema"] == "rotubes/1"
 
+    def test_numpy_integer_design_writes_the_int_record(self):
+        # The coverage record of np.int64 family, n and reps is the record of
+        # the Python ints, byte for byte, not a TypeError from json.
+        def record(i, n, reps):
+            report = rt.coverage_experiment(rt.ErrorProcessSpec(i, 1, 1, 0.05), n, reps,
+                                            [0.1], TimeGrid.uniform(11), seed=1)
+            return json.dumps(rio.coverage_report_to_dict(report), indent=1)
+
+        assert record(np.int64(2), np.int64(5), np.int64(3)) == record(2, 5, 3)
+
 
 class TestManifestAlignment:
     def test_identity_action_keeps_sample(self):

@@ -1,6 +1,8 @@
-"""The exported surface: every advertised name resolves and is used."""
+"""The exported surface: every advertised name resolves and is used, and every
+integer field of a value type follows one rule."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -10,9 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rotubes
+from rotubes.curves import RotationCurve, TimeGrid
+from rotubes.errors import InvalidDof
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(rotubes.__path__, "rotubes."))
 
@@ -138,3 +143,51 @@ def test_readme_states_the_package_line_count():
     stated = re.findall(r"The package is\s+(\d+)\s+lines", readme)
     counted = sum(path.read_text(encoding="utf-8").count("\n") for path in package.glob("*.py"))
     assert stated == [str(counted)]
+
+
+def int_field_types():
+    """{"module.Class": (class, names of its fields annotated `int`)} over the package."""
+    found = {}
+    for name in MODULES:
+        for obj in vars(importlib.import_module(name)).values():
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == name:
+                ints = [f.name for f in dataclasses.fields(obj) if f.type == "int"]
+                if ints:
+                    found[f"{name.split('.')[1]}.{obj.__name__}"] = (obj, ints)
+    return found
+
+
+# Valid keyword arguments of each value type with a field annotated `int`.
+VALID_FIELDS = {
+    "gkf.EcContext": lambda: dict(n=10, l1=1.0),
+    "simulation.ErrorProcessSpec": lambda: dict(i=2, l=2, j=1, sigma=0.05),
+    "tubes.ConfidenceTube": lambda: dict(center=RotationCurve.identity(TimeGrid.uniform(5)),
+                                         s=0.01 * np.broadcast_to(np.eye(3), (5, 3, 3)),
+                                         hquant=1.0, alpha=0.05, n=10),
+    "io.DatasetManifest": lambda: dict(sessions={"a": ["a.csv"]}, grid_size=11),
+}
+
+# Result types that only the package builds, from values it has already checked.
+BUILT_BY_THE_PACKAGE = {
+    "simulation.CoverageReport": "coverage_experiment fills it from a checked spec, n and reps",
+    "tubes.TubeIngredients": "tube_ingredients takes n from the sample's size",
+    "battery.BatteryEntry": "run_battery copies a ROWS key and its checked report",
+}
+
+
+def test_every_int_field_type_is_listed():
+    # A new value type with an `int` field joins one of the two tables above.
+    assert sorted(int_field_types()) == sorted(VALID_FIELDS.keys() | BUILT_BY_THE_PACKAGE.keys())
+
+
+@pytest.mark.parametrize("qualname", sorted(VALID_FIELDS))
+def test_int_fields_refuse_bools_and_fractions(qualname):
+    # One rule for every integer field: an Integral, numpy's included, that is
+    # not a bool, refused at construction by an error that names the field.
+    cls, ints = int_field_types()[qualname]
+    kwargs = VALID_FIELDS[qualname]()
+    for field in ints:
+        for bad in (True, 2.5, kwargs[field] + 0.5):   # the last passes every range check
+            with pytest.raises((ValueError, InvalidDof), match=rf"(?i)\b{field}\b"):
+                cls(**{**kwargs, field: bad})
+        assert getattr(cls(**{**kwargs, field: np.int64(kwargs[field])}), field) == kwargs[field]

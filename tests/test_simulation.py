@@ -361,6 +361,19 @@ class TestCoverageExperiment:
             rt.coverage_experiment(rt.ErrorProcessSpec(1, 1, 1, 0.05), n=5, reps=0,
                                    alphas=[0.1])
 
+    @pytest.mark.parametrize("n, reps, message", [(10.5, 3, r"need n >= 4, an integer"),
+                                                  (10, 2.5, r"need an integer reps"),
+                                                  (True, 3, r"need n >= 4, an integer"),
+                                                  (10, True, r"need an integer reps")])
+    def test_fractional_design_is_refused_before_any_draw(self, n, reps, message,
+                                                          monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew before checking the design")
+
+        monkeypatch.setattr(simulation, "_keyed_streams", no_draw)
+        with pytest.raises(ValueError, match=message):
+            rt.coverage_experiment(rt.ErrorProcessSpec(1, 1, 1, 0.05), n, reps, [0.1])
+
     @pytest.mark.parametrize("sigma", [1e100, 1e150])
     def test_huge_finite_sigma_runs_without_warnings(self, sigma):
         # The small-angle series of exp_so3 is evaluated on small angles only,

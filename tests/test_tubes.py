@@ -205,6 +205,17 @@ class TestTubeRecordValidation:
                 make_tube(eye, grid, s, hquant, n)
         assert make_tube(eye, grid, s, 1.0, 4).n == 4
 
+    def test_tube_arrays_are_read_only(self):
+        # S is frozen where tube_ingredients builds it, as the center's values are.
+        sample, _, _ = gp_sample(seed=3)
+        tube = build_tube(sample, 0.1)
+        report = compare_tubes(tube, tube)
+        for array, index, value in ((tube.s, (0, 0, 0), 1.0),
+                                    (tube_ingredients(sample).s, (0, 0, 0), 1.0),
+                                    (report.overlap, 0, False)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[index] = value
+
 
 class TestCompareTubes:
     def test_identical_tubes_overlap_everywhere(self):
