@@ -2,7 +2,7 @@
 
 Importing the package loads no scipy module.  Each part is imported where it runs; alone after
 numpy, on a 2-vCPU Xeon VM: scipy.special (0.33 s) at the first EC evaluation for a sample size
-(gkf), scipy.spatial.transform (0.51 s, scipy.special included) for Euler-angle rows (io), and
+(gkf), scipy.spatial.transform (0.51 s, scipy.special included) only for export_euler (io), and
 scipy.optimize (0.64 s, scipy.special included) when the overlap search runs SLSQP (tubes)."""
 
 from .curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid, apply_action,

@@ -1,4 +1,4 @@
-"""Domain exceptions and the integer-field rule, shared across the package."""
+"""Domain exceptions and the integer- and float-field rules, shared across the package."""
 
 from __future__ import annotations
 
@@ -8,6 +8,11 @@ import numbers
 def _is_int(value) -> bool:
     """The rule of every integer field: an Integral, numpy's included, that is not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """The rule of every float field: a Real, numpy's and the ints included, that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class RotubesError(Exception):

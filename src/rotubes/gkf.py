@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidDof, NoConvergence, NonMonotoneBracket, NoRoot,
-                     ZeroResidualColumn, _is_int)
+                     ZeroResidualColumn, _is_int, _is_real)
 
 _BRACKET_TOL = 1e-12       # well below the 1e-8 contract; keeps roots reproducible
 _SECANT_STEPS = 12         # at most; 6-10 pin a battery root to 1e-12 * h
@@ -45,8 +45,8 @@ class EcContext:
     def __post_init__(self):
         if not (_is_int(self.n) and self.n >= 3):
             raise InvalidDof(f"need an integer N >= 3, got N = {self.n!r}")
-        if not (self.l1 >= 0.0 and math.isfinite(self.l1)):
-            raise ValueError(f"L1 must be finite and nonnegative, got {self.l1}")
+        if not (_is_real(self.l1) and self.l1 >= 0.0 and math.isfinite(self.l1)):
+            raise ValueError(f"L1 must be finite and nonnegative, got {self.l1!r}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -136,8 +136,8 @@ def solve_quantile(alpha: float, ctx: EcContext) -> float:
     expected_ec is evaluated only where a step is in doubt; elsewhere the step goes
     where f, decreasing past the mode, sends it.
     """
-    if not (0.0 < alpha <= 0.5):
-        raise ValueError(f"alpha must be in (0, 0.5], got {alpha}")
+    if not (_is_real(alpha) and 0.0 < alpha <= 0.5):
+        raise ValueError(f"alpha must be in (0, 0.5], got {alpha!r}")
 
     def f(h: float) -> float:
         return expected_ec(h, ctx)

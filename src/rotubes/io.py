@@ -184,7 +184,17 @@ def ingest_curve_csv(paths: str | list[str], grid_size: int,
     files = [_checked_rows(p) for p in ([paths] if single else paths)]
     if not files:
         raise ValueError("empty sample")
-    values = _session_rotations(files, convention)
+    tables = [rows[:, 2:] for rows, _, _ in files]
+    euler = np.concatenate([np.full(len(t), t.shape[1] == 3) for t in tables])
+    values = np.empty((len(euler), 3, 3))
+    if euler.any():
+        angles = np.concatenate([t for t in tables if t.shape[1] == 3])
+        values[euler] = _euler_matrices(convention.scipy_seq, angles)
+    if not euler.all():
+        values[~euler] = np.concatenate([t for t in tables if t.shape[1] == 9]).reshape(-1, 3, 3)
+    repair = np.concatenate([repair for _, _, repair in files])
+    if repair.any():
+        values[repair] = so3.project_to_so3(values[repair])
     grid = TimeGrid.uniform(grid_size)
     k, u = map(np.stack, zip(*(_bracket(unit, grid.t) for _, unit, _ in files)))
     k += np.cumsum([0] + [len(rows) for rows, _, _ in files[:-1]])[:, None]
@@ -219,22 +229,24 @@ def _checked_rows(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, unit, repair
 
 
-def _session_rotations(files: list, convention: EulerConvention) -> np.ndarray:
-    """The rotations of all files' rows, stacked: one Euler conversion, one projection."""
-    tables = [rows[:, 2:] for rows, _, _ in files]
-    euler = np.concatenate([np.full(len(t), t.shape[1] == 3) for t in tables])
-    values = np.empty((len(euler), 3, 3))
-    if euler.any():
-        from scipy.spatial.transform import Rotation
-        angles = np.concatenate([t for t in tables if t.shape[1] == 3])
-        values[euler] = Rotation.from_euler(convention.scipy_seq, angles,
-                                            degrees=True).as_matrix()
-    if not euler.all():
-        values[~euler] = np.concatenate([t for t in tables if t.shape[1] == 9]).reshape(-1, 3, 3)
-    repair = np.concatenate([repair for _, _, repair in files])
-    if repair.any():
-        values[repair] = so3.project_to_so3(values[repair])
-    return values
+def _euler_matrices(seq: str, angles: np.ndarray) -> np.ndarray:
+    """scipy's Rotation.from_euler(seq, angles, degrees=True).as_matrix(), bit for bit: its
+    half-angle quaternions composed in its order (upper-case seq intrinsic), then its matrix."""
+    half = (angles * (np.pi / 180.0) / 2.0).T
+    e = np.zeros((3, 4, len(angles)))       # elementary quaternions, component-major x y z w
+    e[:, 3] = np.cos(half)
+    e[[0, 1, 2], ["xyz".index(axis) for axis in seq.lower()]] = np.sin(half)
+    quat = e[0]
+    for f in e[1:]:                         # compose_quat(p, q), its sums rounded as there
+        (px, py, pz, pw), (qx, qy, qz, qw) = (quat, f) if seq.isupper() else (f, quat)
+        quat = (pw * qx + qw * px + (py * qz - pz * qy), pw * qy + qw * py + (pz * qx - px * qz),
+                pw * qz + qw * pz + (px * qy - py * qx), pw * qw - px * qx - py * qy - pz * qz)
+    x, y, z, w = quat
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.stack([x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw),
+                     2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw),
+                     2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2], axis=-1).reshape(-1, 3, 3)
 
 
 def write_curve_csv(path: str, curve: RotationCurve) -> None:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import so3, tubes
 from .curves import GRID_SIZE, CurveSample, RotationCurve, TimeGrid
-from .errors import SingularCovariance, _is_int
+from .errors import SingularCovariance, _is_int, _is_real
 
 MIXING_MATRICES = {
     1: np.eye(3),
@@ -43,6 +43,8 @@ MIXING_MATRICES = {
 _OU_RATE = 5.0
 _BUMP_CENTERS = np.arange(10) / 9.0
 _BUMP_WIDTH = 0.2
+_MODULATIONS = {1: np.ones_like, 2: lambda t: np.full_like(t, 4.0),      # f_l, keyed by l
+                3: lambda t: np.sin(4.0 * np.pi * t) + 1.5}
 _MAX_SIGMA = 1e150        # exp_so3 squares the angle: sigma = 1e300 overflows it
 _CHUNK_POINTS = 2 ** 13   # sampled curve points per keyed pass of coverage_experiment
 
@@ -54,14 +56,9 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 def modulation(l: int, t: np.ndarray) -> np.ndarray:
     """Variance modulation f_l; the processes satisfy var = f_l(t)^2."""
-    t = np.asarray(t, dtype=float)
-    if l == 1:
-        return np.ones_like(t)
-    if l == 2:
-        return np.full_like(t, 4.0)
-    if l == 3:
-        return np.sin(4.0 * np.pi * t) + 1.5
-    raise ValueError(f"modulation index must be 1, 2 or 3, got {l}")
+    if not (_is_int(l) and l in _MODULATIONS):
+        raise ValueError(f"modulation l must be an integer in 1..3, got {l!r}")
+    return _MODULATIONS[l](np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -79,8 +76,8 @@ class ErrorProcessSpec:
             if not (_is_int(value) and 1 <= value <= top):
                 raise ValueError(f"{name} {field} must be an integer in 1..{top}, got {value!r}")
             object.__setattr__(self, field, int(value))
-        if not 0.0 < self.sigma < math.inf:             # NaN fails too
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        if not (_is_real(self.sigma) and 0.0 < self.sigma < math.inf):     # NaN fails too
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
         if self.sigma > _MAX_SIGMA:
             raise ValueError(f"sigma must be at most {_MAX_SIGMA:g}, got {self.sigma:g}")
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import gkf, so3
 from .curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid,
                      _bracket, _freeze, _require_same_grid, apply_action, residuals)
-from .errors import NoConvergence, SingularCovariance, _is_int
+from .errors import NoConvergence, SingularCovariance, _is_int, _is_real
 
 MIN_CURVES = 4           # smallest sample with an invertible 3x3 covariance
 _COND_FLOOR = 1e-12      # min eigenvalue must exceed this times the max
@@ -55,10 +55,10 @@ class ConfidenceTube:
         object.__setattr__(self, "s", _freeze(self.s))
         if self.s.shape != (len(self.grid), 3, 3):
             raise ValueError(f"S must have shape ({len(self.grid)}, 3, 3)")
-        if not (self.hquant > 0.0 and math.isfinite(self.hquant)):
-            raise ValueError(f"quantile must be finite and positive, got {self.hquant}")
-        if not (0.0 < self.alpha <= 0.5):
-            raise ValueError(f"alpha must be in (0, 0.5], got {self.alpha}")
+        if not (_is_real(self.hquant) and self.hquant > 0.0 and math.isfinite(self.hquant)):
+            raise ValueError(f"hquant must be finite and positive, got {self.hquant!r}")
+        if not (_is_real(self.alpha) and 0.0 < self.alpha <= 0.5):
+            raise ValueError(f"alpha must be in (0, 0.5], got {self.alpha!r}")
 
     @property
     def grid(self) -> TimeGrid:

@@ -210,6 +210,16 @@ class TestExpectedEc:
 
 
 class TestSolveQuantile:
+    @pytest.mark.parametrize("alpha", [True, "0.05", None])
+    def test_alpha_must_be_a_number(self, alpha):
+        # The float-field rule: a Real that is not a bool, named in the error.
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 0\.5\], got "):
+            solve_quantile(alpha, EcContext(10, 1.0))
+
+    def test_numpy_alpha_gives_the_same_root(self):
+        ctx = EcContext(10, 1.0)
+        assert solve_quantile(np.float64(0.05), ctx).hex() == solve_quantile(0.05, ctx).hex()
+
     def test_residual_equation_value(self):
         for alpha in (0.5, 0.25, 0.1, 0.05, 0.01):
             ctx = EcContext(10, np.pi / 2.0)

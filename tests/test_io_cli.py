@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import stat
@@ -10,6 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial.transform import Rotation
 
 import rotubes as rt
@@ -68,6 +72,38 @@ class TestEulerConvention:
     def test_scipy_sequence_casing(self):
         assert rio.EulerConvention("zxy", "intrinsic").scipy_seq == "ZXY"
         assert rio.EulerConvention("zxy", "extrinsic").scipy_seq == "zxy"
+
+
+# All 24 Euler sequences: the 12 axis strings, extrinsic (lower case) and intrinsic.
+EULER_SEQS = [s for s in map("".join, itertools.product("xyz", repeat=3)) if s[0] != s[1] != s[2]]
+EULER_SEQS += [s.upper() for s in EULER_SEQS]
+SPECIAL_ANGLES = [0.0, -0.0, 90.0, -90.0, 180.0, -180.0, 360.0, -360.0, 720.0, 5e-324]
+EULER_ANGLES = st.one_of(st.integers(-1440, 1440).map(lambda k: k / 4.0),    # quarter degrees
+                         st.sampled_from(SPECIAL_ANGLES))
+
+
+def assert_scipy_euler_bits(seq, angles):
+    got = rio._euler_matrices(seq, angles)
+    want = Rotation.from_euler(seq, angles, degrees=True).as_matrix()
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), seq
+
+
+class TestEulerMatrices:
+    # Euler rows are converted in numpy.  Every entry must carry scipy's bits, the
+    # sign of zero included, or the seeded Euler session digests would move; where
+    # numpy's sin/cos round differently from the math library scipy calls, this fails.
+    @pytest.mark.parametrize("seq", EULER_SEQS)
+    def test_fixed_rows_equal_scipy(self, seq):
+        angles = np.array([[30.0, -45.25, 120.5], [0.0, -0.0, 180.0], [90.0, -360.0, 5e-324],
+                           [-180.0, 720.0, -90.0], [17.75, 89.75, -179.25]])
+        assert_scipy_euler_bits(seq, angles)
+
+    @given(seq=st.sampled_from(EULER_SEQS),
+           angles=hnp.arrays(float, st.tuples(st.integers(1, 40), st.just(3)),
+                             elements=EULER_ANGLES))
+    def test_lattice_and_special_angles_equal_scipy(self, seq, angles):
+        assert_scipy_euler_bits(seq, angles)
 
 
 class TestIngest:
@@ -867,7 +903,8 @@ class TestCli:
     @pytest.mark.parametrize("command, schema, loaded", [
         ("compare", "matrix", []),
         ("tube", "matrix", ["scipy.special"]),
-        ("tube", "euler", ["scipy.special", "scipy.spatial"])])
+        ("tube", "euler", ["scipy.special"]),
+        ("export-euler", "euler", ["scipy.special", "scipy.spatial"])])
     def test_a_command_loads_only_the_scipy_it_runs(self, tmp_path, command, schema, loaded):
         # One command in a fresh interpreter, as a user runs it.  A tube compared
         # with itself is decided by the array certificates, so SLSQP never runs.
@@ -885,7 +922,9 @@ class TestCli:
         tube = str(tmp_path / "tube.json")
         rio.atomic_write_json(tube, rio.tube_to_dict(build_tube(sample, 0.05)))
         argv = {"tube": ["tube", "--input", str(tmp_path), "--alpha", "0.05", "--grid-size", "11"],
-                "compare": ["compare", "--tube-a", tube, "--tube-b", tube]}[command]
+                "compare": ["compare", "--tube-a", tube, "--tube-b", tube],
+                "export-euler": ["export-euler", "--input", str(tmp_path / "walk0.csv"),
+                                 "--grid-size", "11"]}[command]
         parts = ["scipy.special", "scipy.spatial", "scipy.optimize"]
         code = ("import sys; from rotubes.cli import cli_main; status = cli_main(sys.argv[1:]); "
                 f"print(*[m for m in {parts!r} if m in sys.modules]); sys.exit(status)")

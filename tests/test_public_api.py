@@ -1,5 +1,5 @@
 """The exported surface: every advertised name resolves and is used, and every
-integer field of a value type follows one rule."""
+integer field and every float field of a value type follows one rule per kind."""
 
 import ast
 import dataclasses
@@ -191,3 +191,22 @@ def test_int_fields_refuse_bools_and_fractions(qualname):
             with pytest.raises((ValueError, InvalidDof), match=rf"(?i)\b{field}\b"):
                 cls(**{**kwargs, field: bad})
         assert getattr(cls(**{**kwargs, field: np.int64(kwargs[field])}), field) == kwargs[field]
+
+
+# Float fields of the value types in VALID_FIELDS, each with an int it accepts (or None).
+FLOAT_FIELDS = [("gkf.EcContext", "l1", 2), ("simulation.ErrorProcessSpec", "sigma", 1),
+                ("tubes.ConfidenceTube", "hquant", 3), ("tubes.ConfidenceTube", "alpha", None)]
+
+
+@pytest.mark.parametrize("qualname, field, whole", FLOAT_FIELDS)
+def test_float_fields_refuse_bools_and_strings(qualname, field, whole):
+    # One rule for every float field: a Real, numpy's and the ints included, that
+    # is not a bool, refused at construction by an error that names the field.
+    cls = int_field_types()[qualname][0]
+    kwargs = VALID_FIELDS[qualname]()
+    for bad in (True, str(kwargs[field]), None):
+        with pytest.raises(ValueError, match=rf"(?i)^{field}\b"):
+            cls(**{**kwargs, field: bad})
+    for good in (np.float64(kwargs[field]), whole):
+        if good is not None:
+            assert getattr(cls(**{**kwargs, field: good}), field) == good

@@ -36,6 +36,20 @@ class TestErrorProcesses:
         for k in (0, 3, 6, 10):
             assert abs(sample_var[k] - target[k]) <= three_se[k], (k, sample_var[k])
 
+    @pytest.mark.parametrize("l", [True, 2.0, np.float64(3.0), 0, 4])
+    def test_modulation_refuses_what_the_spec_refuses(self, l):
+        # One rule for l: modulation refuses every value ErrorProcessSpec refuses.
+        message = r"^modulation l must be an integer in 1\.\.3, got "
+        with pytest.raises(ValueError, match=message):
+            modulation(l, np.linspace(0.0, 1.0, 5))
+        with pytest.raises(ValueError, match=message):
+            rt.ErrorProcessSpec(1, l, 1, 0.05)
+
+    def test_modulation_takes_numpy_integers(self):
+        t = np.linspace(0.0, 1.0, 5)
+        for l in (1, 2, 3):
+            assert modulation(np.int64(l), t).tobytes() == modulation(l, t).tobytes()
+
     def test_sinusoidal_modulation_at_zero(self):
         assert modulation(3, np.array([0.0]))[0] == pytest.approx(1.5)
         grid = TimeGrid.uniform(3)
