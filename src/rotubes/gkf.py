@@ -47,6 +47,7 @@ class EcContext:
             raise InvalidDof(f"need an integer N >= 3, got N = {self.n!r}")
         if not (_is_real(self.l1) and self.l1 >= 0.0 and math.isfinite(self.l1)):
             raise ValueError(f"L1 must be finite and nonnegative, got {self.l1!r}")
+        object.__setattr__(self, "l1", float(self.l1))
 
 
 @functools.lru_cache(maxsize=64)
@@ -138,6 +139,7 @@ def solve_quantile(alpha: float, ctx: EcContext) -> float:
     """
     if not (_is_real(alpha) and 0.0 < alpha <= 0.5):
         raise ValueError(f"alpha must be in (0, 0.5], got {alpha!r}")
+    alpha = float(alpha)
 
     def f(h: float) -> float:
         return expected_ec(h, ctx)

@@ -105,29 +105,25 @@ def _parse_numeric_rows(path: str) -> np.ndarray:
     field, the line scanner reads the lines again and raises the located error.
     """
     lines = _read_text(path).split("\n")
-    data = [(lineno, text) for lineno, line in enumerate(lines, start=1)
-            if (text := line.strip()) and not text.startswith("#")]
-    if data and _is_header(data[0][1]):
-        data = data[1:]
+    text = list(map(str.strip, lines))
+    data = [n for n, s in enumerate(text, start=1) if s and s[0] != "#"]    # line numbers
+    if data:
+        try:
+            list(map(float, text[data[0] - 1].split(",")))
+        except ValueError:                  # the first of them is a header
+            del data[0]
     if len(data) >= 2:
         try:
-            table = np.loadtxt([text for _, text in data], delimiter=",", comments=None,
-                               ndmin=2)
+            fields = np.loadtxt([text[n - 1] for n in data], delimiter=",", comments=None,
+                                ndmin=2)
         except ValueError:
             pass
         else:
-            if table.shape[1] in (4, 10) and np.isfinite(table).all():
-                return np.column_stack([[lineno for lineno, _ in data], table])
+            if fields.shape[1] in (4, 10) and np.isfinite(fields).all():
+                table = np.empty((len(data), fields.shape[1] + 1))
+                table[:, 0], table[:, 1:] = data, fields
+                return table
     return _scan_numeric_rows(path, lines)
-
-
-def _is_header(text: str) -> bool:
-    try:
-        for f in text.split(","):
-            float(f)
-    except ValueError:
-        return True
-    return False
 
 
 def _scan_numeric_rows(path: str, lines: list[str]) -> np.ndarray:
@@ -174,59 +170,69 @@ def ingest_curve_csv(paths: str | list[str], grid_size: int,
     CurveSample.  Two row schemas are accepted: "t,r11,...,r33" (row-major
     matrix entries) and "t,angle1,angle2,angle3" (degrees, factored per
     `convention`).  Matrix rows with orthogonality error in (1e-9, 1e-3] are
-    projected onto the rotation group; rows beyond that are rejected.  Times
-    are min-max normalized to [0, 1] and must be strictly increasing.  Each
-    file is checked in full before the next, so the first bad file raises;
-    the session is then converted, repaired and resampled in one stacked pass.
+    projected onto the rotation group where resampling reads them; rows beyond
+    that are rejected.  Times are min-max normalized to [0, 1] and must be
+    strictly increasing.  One stacked pass checks the session and raises as checking
+    file by file would: the first bad file's error before a later file's read error.
     """
     convention = convention or EulerConvention()
     single = isinstance(paths, (str, os.PathLike))
-    files = [_checked_rows(p) for p in ([paths] if single else paths)]
-    if not files:
-        raise ValueError("empty sample")
-    tables = [rows[:, 2:] for rows, _, _ in files]
-    euler = np.concatenate([np.full(len(t), t.shape[1] == 3) for t in tables])
-    values = np.empty((len(euler), 3, 3))
-    if euler.any():
-        angles = np.concatenate([t for t in tables if t.shape[1] == 3])
-        values[euler] = _euler_matrices(convention.scipy_seq, angles)
-    if not euler.all():
-        values[~euler] = np.concatenate([t for t in tables if t.shape[1] == 9]).reshape(-1, 3, 3)
-    repair = np.concatenate([repair for _, _, repair in files])
+    tables, failure = [], None
+    for path in [paths] if single else paths:
+        try:
+            tables.append((path, _parse_numeric_rows(path)))
+        except Exception as exc:        # raised once the files read before it pass
+            failure = exc
+            break
+    if not tables:
+        raise failure or ValueError("empty sample")
+    lens = np.array([len(rows) for _, rows in tables])
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    times = np.concatenate([rows[:, 1] for _, rows in tables])
+    matrix = np.repeat(np.array([rows.shape[1] == 11 for _, rows in tables], bool), lens)
+    values = np.empty((len(times), 3, 3))
+    faults = np.zeros((3, len(times)), bool)     # rotation rows, stamps, normalized stamps
+    fixable = np.zeros(len(times), bool)
+    if matrix.any():
+        values[matrix] = R = np.concatenate([rows[:, 2:] for _, rows in tables
+                                             if rows.shape[1] == 11]).reshape(-1, 3, 3)
+        ok, orth_err, det = so3._rotation_test(R)
+        faults[0, matrix] = ~((orth_err <= _PROJECTABLE_ORTH_ERR) & (det > 0.0))  # NaN is bad
+        fixable[matrix] = ~ok
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        first = np.repeat(times[starts], lens)
+        unit = (times - first) / (np.repeat(times[ends - 1], lens) - first)
+        # Increasing stamps can still collapse (underflow) or overflow once normalized.
+        for stuck, stamps in zip(faults[1:], (times, unit)):
+            stuck[1:] = ~(np.diff(stamps) > 0)
+            stuck[starts] = False                 # no step across a file boundary
+    if faults.any():
+        f = int(np.searchsorted(ends, np.argmax(faults.any(axis=0)), side="right"))
+        kind = int(np.argmax(faults[:, starts[f]:ends[f]].any(axis=1)))
+        k = starts[f] + int(np.argmax(faults[kind, starts[f]:ends[f]]))
+        where = f"{tables[f][0]}:{int(tables[f][1][k - starts[f], 0])}"
+        if kind == 0:
+            raise NonRotationRow(f"{where}: orthogonality error "
+                                 f"{orth_err[np.count_nonzero(matrix[:k])]:.2e} or "
+                                 f"non-positive determinant; not repairable")
+        what = ("time stamps", "normalized time stamps")[kind - 1]
+        raise NonMonotoneTime(f"{where}: {what} must be strictly increasing")
+    if failure is not None:
+        raise failure
+    if not matrix.all():
+        angles = np.concatenate([rows[:, 2:] for _, rows in tables if rows.shape[1] == 5])
+        values[~matrix] = _euler_matrices(convention.scipy_seq, angles)
+    grid = TimeGrid.uniform(grid_size)
+    k, u = map(np.stack, zip(*(_bracket(unit[s:e], grid.t) for s, e in zip(starts, ends))))
+    k += starts[:, None]
+    repair = np.zeros(len(times), bool)
+    repair[k] = repair[k + 1] = True            # the rows _geodesic reads ...
+    repair &= fixable                           # ... that need projecting
     if repair.any():
         values[repair] = so3.project_to_so3(values[repair])
-    grid = TimeGrid.uniform(grid_size)
-    k, u = map(np.stack, zip(*(_bracket(unit, grid.t) for _, unit, _ in files)))
-    k += np.cumsum([0] + [len(rows) for rows, _, _ in files[:-1]])[:, None]
     resampled = _geodesic(values[k], values[k + 1], u)
     return RotationCurve(grid, resampled[0]) if single else CurveSample(grid, resampled)
-
-
-def _checked_rows(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One file's table, normalized times and flags of the matrix rows to
-    repair, after the rotation-row and time-stamp checks."""
-    rows = _parse_numeric_rows(path)
-    repair = np.zeros(len(rows), bool)
-    if rows.shape[1] == 11:
-        ok, orth_err, det = so3._rotation_test(rows[:, 2:].reshape(-1, 3, 3))
-        bad = ~((orth_err <= _PROJECTABLE_ORTH_ERR) & (det > 0.0))      # NaN is bad too
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise NonRotationRow(f"{path}:{int(rows[k, 0])}: orthogonality error "
-                                 f"{orth_err[k]:.2e} or non-positive determinant; "
-                                 f"not repairable")
-        repair = ~ok
-
-    times = rows[:, 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        unit = (times - times[0]) / (times[-1] - times[0])
-        # Increasing stamps can still collapse (underflow) or overflow once normalized.
-        for stamps, what in ((times, "time stamps"), (unit, "normalized time stamps")):
-            stuck = ~(np.diff(stamps) > 0)
-            if np.any(stuck):
-                raise NonMonotoneTime(f"{path}:{int(rows[int(np.argmax(stuck)) + 1, 0])}: "
-                                      f"{what} must be strictly increasing")
-    return rows, unit, repair
 
 
 def _euler_matrices(seq: str, angles: np.ndarray) -> np.ndarray:
@@ -428,4 +434,22 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def atomic_write_json(path: str, data: dict) -> None:
-    atomic_write_text(path, json.dumps(data, indent=1) + "\n")
+    atomic_write_text(path, _json_text(data) + "\n")
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=1) for str keys, without json's pure-Python encoder: finite
+    floats are spelt by float.__repr__ as json spells them, other scalars by its C encoder."""
+    inner = indent + " "
+    if isinstance(value, dict):
+        items = [json.dumps(key) + ": " + _json_text(v, inner) for key, v in value.items()]
+    elif not isinstance(value, (list, tuple)):
+        return json.dumps(value)
+    elif set(map(type, value)) == {float} and math.isfinite(sum(value)):   # no NaN, no inf
+        items = map(float.__repr__, value)
+    elif any(isinstance(v, (dict, list, tuple)) for v in value):
+        items = [_json_text(v, inner) for v in value]
+    else:                                   # scalars: one C-encoded call, spaced as indent=1
+        items = [json.dumps(value, separators=("," + inner, ": "))[1:-1]] if value else []
+    body = ("," + inner).join(items)
+    return ("{%s}" if isinstance(value, dict) else "[%s]") % (body and inner + body + indent)

@@ -78,6 +78,7 @@ class ErrorProcessSpec:
             object.__setattr__(self, field, int(value))
         if not (_is_real(self.sigma) and 0.0 < self.sigma < math.inf):     # NaN fails too
             raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
+        object.__setattr__(self, "sigma", float(self.sigma))
         if self.sigma > _MAX_SIGMA:
             raise ValueError(f"sigma must be at most {_MAX_SIGMA:g}, got {self.sigma:g}")
 

@@ -59,6 +59,8 @@ class ConfidenceTube:
             raise ValueError(f"hquant must be finite and positive, got {self.hquant!r}")
         if not (_is_real(self.alpha) and 0.0 < self.alpha <= 0.5):
             raise ValueError(f"alpha must be in (0, 0.5], got {self.alpha!r}")
+        object.__setattr__(self, "hquant", float(self.hquant))
+        object.__setattr__(self, "alpha", float(self.alpha))
 
     @property
     def grid(self) -> TimeGrid:

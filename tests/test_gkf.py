@@ -220,6 +220,16 @@ class TestSolveQuantile:
         ctx = EcContext(10, 1.0)
         assert solve_quantile(np.float64(0.05), ctx).hex() == solve_quantile(0.05, ctx).hex()
 
+    def test_float32_l1_gives_the_root_of_its_float(self):
+        # float32 arithmetic in expected_ec would break the strict-decrease guard.
+        l1 = np.float32(1.6)
+        assert (solve_quantile(0.05, EcContext(10, l1)).hex()
+                == solve_quantile(0.05, EcContext(10, float(l1))).hex())
+        assert type(expected_ec(3.0, EcContext(10, l1))) is float
+        alpha = np.float32(0.05)
+        assert (solve_quantile(alpha, EcContext(10, 1.6)).hex()
+                == solve_quantile(float(alpha), EcContext(10, 1.6)).hex())
+
     def test_residual_equation_value(self):
         for alpha in (0.5, 0.25, 0.1, 0.05, 0.01):
             ctx = EcContext(10, np.pi / 2.0)

@@ -22,7 +22,7 @@ from rotubes import io as rio
 from rotubes import so3
 from rotubes.cli import cli_main
 from rotubes.curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid,
-                            apply_action)
+                            _bracket, _geodesic, apply_action)
 from rotubes.errors import NonMonotoneTime, NonRotationRow, ParseError
 from rotubes.tubes import build_tube
 
@@ -228,6 +228,7 @@ class TestIngest:
 
     @pytest.mark.parametrize("stamps, line, what", [
         ("0,2,1", 3, "time stamps"),
+        ("0,1,0", 3, "time stamps"),                        # normalizing divides by 0
         ("0,5e-324,2", 2, "normalized time stamps"),        # collapses to 0, 0, 1
         ("-1e308,0,1e308", 2, "normalized time stamps"),    # overflows to 0, 0, nan
     ])
@@ -307,6 +308,81 @@ class TestIngest:
             rio.ingest_curve_csv(paths[1:], 9)
         assert str(info.value) == f"{paths[1]}:6: field 3 is not numeric: 'x'"
 
+    @staticmethod
+    def _rewrite(path, line, new):
+        """Replace 1-based line `line` of the file by `new`."""
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        lines[line - 1] = new
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+    def test_first_files_time_fault_wins_over_a_later_rotation_fault(self, tmp_path):
+        paths = self._mixed_session(tmp_path)
+        self._rewrite(paths[0], 4, "-1,1,0,0,0,1,0,0,0,1")           # a rotation, out of order
+        self._rewrite(paths[2], 2, "0" + ",1.1" * 9)                # not a rotation
+        with pytest.raises(NonMonotoneTime) as info:
+            rio.ingest_curve_csv(paths, 9)
+        assert str(info.value) == f"{paths[0]}:4: time stamps must be strictly increasing"
+
+    @pytest.mark.parametrize("later", ["missing", "latin-1"])
+    def test_first_files_rotation_fault_wins_over_a_later_read_error(self, tmp_path, later):
+        paths = self._mixed_session(tmp_path)
+        self._rewrite(paths[0], 5, "2" + ",1.1" * 9)
+        if later == "missing":
+            os.remove(paths[1])
+        else:
+            Path(paths[1]).write_bytes("t,\xe4,b,c\n0,0,0,0\n1,9,0,0\n".encode("latin-1"))
+        with pytest.raises(NonRotationRow) as info:
+            rio.ingest_curve_csv(paths, 9)
+        assert str(info.value) == (f"{paths[0]}:5: orthogonality error 3.63e+00 or "
+                                   f"non-positive determinant; not repairable")
+        with pytest.raises(FileNotFoundError if later == "missing" else ParseError):
+            rio.ingest_curve_csv(paths[1:], 9)
+
+    def test_rotation_fault_wins_over_an_earlier_time_fault_in_its_file(self, tmp_path):
+        paths = self._mixed_session(tmp_path)
+        self._rewrite(paths[2], 2, "-1,1,0,0,0,1,0,0,0,1")           # a rotation, out of order
+        self._rewrite(paths[2], 9, "2" + ",1.1" * 9)
+        with pytest.raises(NonRotationRow) as info:
+            rio.ingest_curve_csv(paths, 9)
+        assert str(info.value).startswith(f"{paths[2]}:9: orthogonality error")
+
+    def test_a_bad_matrix_row_after_an_euler_file_names_its_own_line(self, tmp_path):
+        paths = self._mixed_session(tmp_path)[1:]                   # Euler, then matrix
+        self._rewrite(paths[1], 7, "2" + ",-1,0,0" * 3)
+        with pytest.raises(NonRotationRow) as info:
+            rio.ingest_curve_csv(paths, 9)
+        assert str(info.value) == (f"{paths[1]}:7: orthogonality error 2.00e+00 or "
+                                   f"non-positive determinant; not repairable")
+
+    def test_only_the_rows_resampling_reads_are_projected(self, tmp_path, monkeypatch):
+        # Every row is repairable (noise as the bench fixtures write it); the 40-row
+        # file has more rows than grid points, so resampling skips some of them.
+        rng = np.random.default_rng(7)
+        grid, paths, reference, read = TimeGrid.uniform(11), [], [], []
+        for n, rows in enumerate((40, 11)):
+            t = np.sort(rng.uniform(0.0, 3.0, rows))
+            R = smooth_curve(TimeGrid(np.linspace(0.0, 1.0, rows)), 0.6, n).values
+            R = R + rng.uniform(-1.5e-7, 1.5e-7, R.shape)
+            assert not so3.is_rotation(R).any()
+            paths.append(str(tmp_path / f"walk{n}.csv"))
+            Path(paths[-1]).write_text("".join(",".join(map(repr, row)) + "\n" for row in
+                                               np.column_stack([t, R.reshape(-1, 9)]).tolist()))
+            P = so3.project_to_so3(R)                               # every row, then resample
+            k, u = _bracket((t - t[0]) / (t[-1] - t[0]), grid.t)
+            reference.append(_geodesic(P[k], P[k + 1], u))
+            read.append(R[np.union1d(k, k + 1)])
+        assert sum(map(len, read)) < 40 + 11
+        seen = []
+        project = so3.project_to_so3
+        monkeypatch.setattr(so3, "project_to_so3", lambda M: seen.append(M) or project(M))
+        sample = rio.ingest_curve_csv(paths, 11)
+        assert sample.values.view(np.uint64).tolist() == \
+            np.stack(reference).view(np.uint64).tolist()
+        assert len(seen) == 1
+        assert seen[0].view(np.uint64).tolist() == np.concatenate(read).view(np.uint64).tolist()
+
 
 class TestExportEuler:
     def test_identity_gives_zero_angles(self):
@@ -370,7 +446,22 @@ class TestExportEuler:
         assert np.abs(recomposed - locked).max() <= 1e-9
 
 
+JSON_FLOATS = (st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-7])
+               | st.floats().map(np.float64))
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**80, 2**80) | JSON_FLOATS
+                | st.text(st.sampled_from(list('ab", \\/\n\t\x00\x1fäé€😀'))))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | st.lists(JSON_FLOATS),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(st.sampled_from(list('k", \\ä\n'))), inner)),
+    max_leaves=40)
+
+
 class TestRecords:
+    @given(JSON_VALUES)
+    def test_record_text_is_json_dumps_with_indent_1(self, value):
+        assert rio._json_text(value) == json.dumps(value, indent=1)
+
     def test_tube_json_roundtrip_is_exact(self, tmp_path):
         grid = TimeGrid.uniform(9)
         sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.05),
@@ -968,6 +1059,29 @@ class TestCli:
         umask = os.umask(0)
         os.umask(umask)
         assert stat.S_IMODE(os.stat(out).st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize("command", ["simulate-coverage", "tube", "compare", "battery"])
+    def test_written_records_are_json_dumps_with_indent_1(self, tmp_path, command):
+        grid = TimeGrid.uniform(11)
+        sample, _ = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, 0.05),
+                                        smooth_curve(grid), grid, 5, 4)
+        for n in range(5):
+            rio.write_curve_csv(str(tmp_path / f"walk{n}.csv"),
+                                RotationCurve(grid, sample.values[n]))
+        tube = str(tmp_path / "tube.json")
+        assert self.run("tube", "--input", str(tmp_path), "--alpha", "0.05", "--grid-size",
+                        "11", "--out", tube) == 0
+        argv = {"simulate-coverage": ["--family", "1", "--modulation", "1", "--mixing", "1",
+                                      "--sigma", "0.05", "--n", "5", "--reps", "2", "--seed",
+                                      "3", "--grid-size", "11"],
+                "tube": ["--input", str(tmp_path), "--alpha", "0.1", "--grid-size", "11"],
+                "compare": ["--tube-a", tube, "--tube-b", tube],
+                "battery": ["--reps", "2", "--seed", "1", "--rows", "1", "--grid-size", "11"],
+                }[command]
+        out = tmp_path / "out.json"
+        assert self.run(command, *argv, "--out", str(out)) == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
 
     def test_simulate_coverage_refuses_an_infinite_sigma(self, tmp_path, capsys):
         out = str(tmp_path / "report.json")

@@ -210,3 +210,15 @@ def test_float_fields_refuse_bools_and_strings(qualname, field, whole):
     for good in (np.float64(kwargs[field]), whole):
         if good is not None:
             assert getattr(cls(**{**kwargs, field: good}), field) == good
+
+
+@pytest.mark.parametrize("qualname, field, whole", FLOAT_FIELDS)
+def test_float_fields_store_python_floats(qualname, field, whole):
+    # As an integer field stores int(value), a float field stores float(value),
+    # so a float32 argument does not carry float32 arithmetic along.
+    cls = int_field_types()[qualname][0]
+    kwargs = VALID_FIELDS[qualname]()
+    for value in (np.float32(kwargs[field]), np.float64(kwargs[field]), whole):
+        if value is not None:
+            stored = getattr(cls(**{**kwargs, field: value}), field)
+            assert type(stored) is float and stored == float(value)

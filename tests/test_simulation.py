@@ -45,6 +45,12 @@ class TestErrorProcesses:
         with pytest.raises(ValueError, match=message):
             rt.ErrorProcessSpec(1, l, 1, 0.05)
 
+    def test_float32_sigma_is_stored_as_its_float(self):
+        # Under tier-1's warning filter a float32 sigma compared with the 1e150 bound
+        # would raise its overflow warning; the spec stores float(sigma) first.
+        spec = rt.ErrorProcessSpec(1, 1, 1, np.float32(0.05))
+        assert type(spec.sigma) is float and spec.sigma == float(np.float32(0.05))
+
     def test_modulation_takes_numpy_integers(self):
         t = np.linspace(0.0, 1.0, 5)
         for l in (1, 2, 3):
