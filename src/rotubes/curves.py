@@ -19,8 +19,9 @@ GRID_SIZE = 101          # points of the default uniform grid (simulations and t
 
 
 def _freeze(a: np.ndarray, dtype=float) -> np.ndarray:
-    """The one read-only rule of value-type arrays: a contiguous copy only where needed."""
-    a = np.ascontiguousarray(a, dtype=dtype)
+    """The one read-only rule of value-type arrays: a caller's writable array is copied."""
+    writable = isinstance(a, np.ndarray) and a.flags.writeable
+    a = np.array(a, dtype=dtype, order="C", copy=writable or None, ndmin=1)
     a.flags.writeable = False
     return a
 

@@ -21,15 +21,11 @@ from .errors import NoConvergence, SingularCovariance, _is_int, _is_real
 
 MIN_CURVES = 4           # smallest sample with an invertible 3x3 covariance
 _COND_FLOOR = 1e-12      # min eigenvalue must exceed this times the max
-_SYM_TOL = 1e-10
 _OVERLAP_MARGIN = 1e-6
 
 
 def _check_spd(S: np.ndarray, grid: TimeGrid) -> None:
-    """Runs where S enters: tube_ingredients (a sample) and io.tube_from_json (JSON)."""
-    sym_err = np.abs(S - np.swapaxes(S, -1, -2)).max()
-    if sym_err > _SYM_TOL:
-        raise SingularCovariance(f"covariance asymmetric by {sym_err:.3e}")
+    """Runs where S enters, built exactly symmetric: tube_ingredients and io.tube_from_json."""
     eig = np.linalg.eigvalsh(S)
     bad = (eig[..., 0] <= 0.0) | (eig[..., 0] <= _COND_FLOOR * eig[..., -1])
     if np.any(bad):
@@ -175,19 +171,6 @@ def _right_jacobian(u: np.ndarray) -> np.ndarray:
             + (theta - np.sin(theta)) / (t2 * theta) * U2)
 
 
-def _right_jacobian_inv(u: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(u)
-    U = so3.hat(u)
-    U2 = U @ U
-    if theta < 1e-6:
-        return np.eye(3) + 0.5 * U + U2 / 12.0
-    sin = np.sin(theta)
-    if abs(sin) < 1e-12:
-        sin = 1e-12
-    c = 1.0 / (theta * theta) - (1.0 + np.cos(theta)) / (2.0 * theta * sin)
-    return np.eye(3) + 0.5 * U + c * U2
-
-
 def _min_mahalanobis_to_other(D: np.ndarray, L: np.ndarray, B: np.ndarray,
                               w_edge: np.ndarray, t: float) -> float:
     """min over the unit ball |w| <= 1 of m(w)^T B m(w), m(w) = log(D exp(L w)).
@@ -200,7 +183,8 @@ def _min_mahalanobis_to_other(D: np.ndarray, L: np.ndarray, B: np.ndarray,
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
         m = so3.log_so3(D @ so3.exp_so3(L @ w), validate=False)
-        grad = 2.0 * (_right_jacobian_inv(m) @ _right_jacobian(L @ w) @ L).T @ (B @ m)
+        # dm/dw = J_r(m)^-1 J_r(Lw) L; J_r(m) is well conditioned on the ball |m| <= pi.
+        grad = 2.0 * (_right_jacobian(L @ w) @ L).T @ np.linalg.solve(_right_jacobian(m).T, B @ m)
         return float(m @ B @ m), grad
 
     ball = {"type": "ineq", "fun": lambda w: 1.0 - w @ w, "jac": lambda w: -2.0 * w}

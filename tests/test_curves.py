@@ -50,6 +50,34 @@ class TestCurveTypes:
         with pytest.raises(rt.InvalidRotation):
             RotationCurve(grid, bad)
 
+    def test_value_types_leave_the_callers_array_writable(self):
+        # A value type keeps a read-only copy of a writable array it is handed,
+        # also when it refuses it; a later write to the caller's array leaves
+        # the value as it was.
+        grid = TimeGrid.uniform(3)
+        t = np.linspace(0.0, 1.0, 3)
+        eye = np.broadcast_to(np.eye(3), (3, 3, 3)).copy()
+        sample = eye[None].repeat(4, axis=0)
+        p, q, knots = np.eye(3), np.eye(3), np.array([[0.0, 0.0], [0.5, 0.4], [1.0, 1.0]])
+        s = np.broadcast_to(0.01 * np.eye(3), (3, 3, 3)).copy()
+        overlap = np.ones(3, dtype=bool)
+        values = [(TimeGrid(t), "t", t), (RotationCurve(grid, eye), "values", eye),
+                  (CurveSample(grid, sample), "values", sample),
+                  (SpatioTemporalAction(p, q, knots), "warp_knots", knots),
+                  (SpatioTemporalAction(p, q, knots), "p", p),
+                  (rt.ConfidenceTube(RotationCurve(grid, eye), s, 10.0, 0.05, 8), "s", s),
+                  (rt.OverlapReport(grid, overlap), "overlap", overlap)]
+        for value, name, given in values:
+            kept = getattr(value, name)
+            assert given.flags.writeable and not kept.flags.writeable, name
+            before = kept.copy()
+            given.fill(0)
+            assert np.array_equal(kept, before), name
+        zeros = np.zeros((3, 3, 3))
+        with pytest.raises(rt.InvalidRotation):
+            RotationCurve(grid, zeros)
+        assert zeros.flags.writeable
+
 
 class TestPointwiseExtrinsicMean:
     def test_single_curve_is_fixed_point(self):

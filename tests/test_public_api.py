@@ -90,6 +90,20 @@ def test_every_export_is_used_by_the_package():
     assert sorted(defined - used - KEPT) == []
 
 
+def test_every_private_function_has_a_caller():
+    # A private module-level function is referenced by name somewhere in the
+    # package (an import of it alone does not count), so a helper that loses
+    # its last caller fails here rather than lingering.
+    package = Path(rotubes.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")]
+    private = {node.name for tree in trees for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not node.name.endswith("__")}
+    used = {_terminal(node) for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    assert private and sorted(private - used) == []
+
+
 def modules_loaded_by(statement):
     """The names in sys.modules after `statement` runs in a fresh interpreter."""
     code = f"import sys; {statement}; print(*sys.modules)"
