@@ -84,7 +84,7 @@ def lkc_estimate(x: np.ndarray) -> float:
     if x.ndim != 3 or x.shape[2] != 3:
         raise ValueError(f"residuals must have shape (N, K, 3), got {x.shape}")
     norms = np.linalg.norm(x, axis=0)             # (K, 3)
-    if np.any(norms == 0.0):
+    if (norms == 0.0).any():
         k, d = np.argwhere(norms == 0.0)[0]
         raise ZeroResidualColumn(
             f"residual coordinate {d} vanishes across the sample at grid index {k}")
@@ -160,15 +160,20 @@ def solve_quantile(alpha: float, ctx: EcContext) -> float:
                          f"L1 = {ctx.l1:.6g}" + (limit if ctx.n == 4 else ""))
 
     a, b = _doubt_interval(f, alpha, lo, f_lo, hi, f_hi)
+    while hi - lo >= _VALUE_TOL * max(1.0, lo):     # too wide to stop or check: a plain step
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid) if a <= mid <= b else None
+        if (mid < a) if f_mid is None else (f_mid >= alpha):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
     checked = False
     while True:
         mid = 0.5 * (lo + hi)
-        width = hi - lo
-        check = width < _VALUE_TOL * max(1.0, lo) and not checked
         adjacent = mid in (lo, hi)      # the bracket cannot contract any further
-        stop = width < _BRACKET_TOL or adjacent
-        f_mid = f(mid) if check or stop or a <= mid <= b else None
-        if check:
+        stop = hi - lo < _BRACKET_TOL or adjacent
+        f_mid = f(mid) if not checked or stop or a <= mid <= b else None
+        if not checked:
             # Strict-decrease guard on the contracted bracket, at a width relative
             # to h so that it spans many floats: across a few, rounding ties and
             # wiggles in expected_ec would fail it on a decreasing function.

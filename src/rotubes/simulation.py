@@ -113,7 +113,7 @@ def _error_paths(i: int, l: int, grid: TimeGrid, rng,
     width = (2, 10, k)[i - 1]
     if isinstance(rng, np.random.Generator):
         if i == 3:
-            z = np.moveaxis(rng.standard_normal((k,) + lead_shape), 0, -1)
+            z = rng.standard_normal((k, *lead_shape)).transpose((*range(1, len(lead_shape) + 1), 0))
         else:
             z = rng.standard_normal(lead_shape + (width,))
         rows = z
@@ -132,12 +132,12 @@ def _error_paths(i: int, l: int, grid: TimeGrid, rng,
     else:
         # Exact AR(1) transition of the stationary OU process; unit variance.
         decay = np.exp(-_OU_RATE * np.diff(t))
-        innov = np.moveaxis(np.sqrt(1.0 - decay ** 2) * z[..., 1:], -1, 0)
+        innov = (np.sqrt(1.0 - decay ** 2) * z[..., 1:]).transpose((-1, *range(z.ndim - 1)))
         walk = np.empty((k,) + z.shape[:-1])
         walk[0] = z[..., 0]
         for step in range(k - 1):
             walk[step + 1] = decay[step] * walk[step] + innov[step]
-        raw = np.moveaxis(walk, 0, -1)
+        raw = walk.transpose((*range(1, walk.ndim), 0))
     return raw * modulation(l, t)
 
 

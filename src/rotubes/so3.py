@@ -6,6 +6,8 @@ All functions accept stacked inputs: shapes (..., 3) for algebra vectors and
 treats every matrix of a stack at once, the ones near angle pi included:
 there the axis comes from the symmetric part, and on the cut locus itself,
 where both signs give the same rotation, a fixed sign convention picks one.
+Hot kernels use ndarray views and in-place accumulation; the seeded pins check
+every such rewrite bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def hat(a: np.ndarray) -> np.ndarray:
 
 
 def exp_so3(a: np.ndarray) -> np.ndarray:
-    """Rotation matrix exp(hat(a)) via the Rodriguez formula.
+    """Rotation matrix exp(hat(a)) via Rodrigues' formula.
 
     Below ||a|| = 1e-6 the sinc and (1-cos)/theta^2 factors use 4th-order
     Taylor expansions to avoid cancellation.
@@ -52,24 +54,29 @@ def exp_so3(a: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):    # 0/0 where theta2 is 0; replaced below
         c1 = np.sin(theta) / theta
         c2 = (1.0 - np.cos(theta)) / theta2
-    if np.any(small):
+    if small.any():
         t2 = np.where(small, theta2, 0.0)       # the series never sees a large angle
         c1 = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, c1)
         c2 = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, c2)
 
     A = hat(a)
     A2 = A @ A
-    return np.eye(3) + c1[..., None, None] * A + c2[..., None, None] * A2
+    A *= c1[..., None, None]        # (I + c1 A) + c2 A^2 in hat's buffer: + commutes exactly
+    A += np.eye(3)
+    A += np.multiply(A2, c2[..., None, None], out=A2)
+    return A
 
 
 def _transpose_times(P: np.ndarray, V: np.ndarray) -> np.ndarray:
     """P^T V per stacked matrix, summed in index order plus +0.0: every entry, the sign
     of zero included, equals np.einsum("kij,...kil->...kjl") of P against V.  The products
     run on contiguous (3, 3, ...) copies, returned as their (..., 3, 3) view."""
-    p, v = (np.moveaxis(X, (-2, -1), (0, 1)).copy() for X in (P, V))
+    p, v = (X.transpose((-2, -1, *range(X.ndim - 2))).copy() for X in (P, V))
     p = p.reshape((3, 3) + (1,) * (v.ndim - p.ndim) + p.shape[2:])    # where V stacks more axes
-    return np.moveaxis((p[0, :, None] * v[0, None] + p[1, :, None] * v[1, None]
-                        + p[2, :, None] * v[2, None]) + 0.0, (0, 1), (-2, -1))
+    out, term = p[0, :, None] * v[0, None], p[1, :, None] * v[1, None]
+    out += term
+    out += np.multiply(p[2, :, None], v[2, None], out=term)
+    return np.add(out, 0.0, out=out).transpose((*range(2, out.ndim), 0, 1))
 
 
 def _check_shape_33(A: np.ndarray) -> None:
@@ -85,7 +92,7 @@ def _rotation_test(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     unique dot products c_i . c_j, the determinant as the triple product
     c0 . (c1 x c2).  NaN and inf entries fail the test.
     """
-    c0, c1, c2 = np.moveaxis(R, (-2, -1), (1, 0))     # c_i[k] = R[..., k, i]
+    c0, c1, c2 = R.transpose((-1, -2, *range(R.ndim - 2)))     # c_i[k] = R[..., k, i]
 
     def dot(a, b):
         return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
@@ -109,7 +116,7 @@ def is_rotation(R: np.ndarray) -> np.ndarray:
 def check_rotation(R: np.ndarray) -> None:
     """Raise InvalidRotation unless every stacked matrix passes is_rotation."""
     ok = is_rotation(R)
-    if not np.all(ok):
+    if not ok.all():
         raise InvalidRotation(f"{np.size(ok) - np.count_nonzero(ok)} matrix(es) violate "
                               f"rotation invariants (tol {ROTATION_TOL:.1e})")
 
@@ -143,12 +150,12 @@ def log_so3(R: np.ndarray, validate: bool = True) -> np.ndarray:
     out = w * (theta / safe_s)[..., None]
 
     # Small angles: theta/sin(theta) = 1 + theta^2/6 + 7 theta^4/360 + ...
-    if np.any(small):
+    if small.any():
         t2 = theta * theta
         scale_small = 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
         out = np.where(small[..., None], w * scale_small[..., None], out)
 
-    if np.any(near_pi):
+    if near_pi.any():
         out[near_pi] = _log_near_pi(R[near_pi], w[near_pi], theta[near_pi])
     return out
 
@@ -193,7 +200,7 @@ def project_to_so3(M: np.ndarray) -> np.ndarray:
     d = np.linalg.det(U @ Vt)
     gap = sv[..., 1] - sv[..., 2]
     bad = (d < 0.0) & (gap <= ROTATION_TOL)
-    if np.any(bad):
+    if bad.any():
         raise DegenerateMean(
             f"{int(np.count_nonzero(bad))} matrix(es) have a non-unique nearest rotation")
     D = np.ones(M.shape[:-2] + (3,))

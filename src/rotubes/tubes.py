@@ -28,7 +28,7 @@ def _check_spd(S: np.ndarray, grid: TimeGrid) -> None:
     """Runs where S enters, built exactly symmetric: tube_ingredients and io.tube_from_json."""
     eig = np.linalg.eigvalsh(S)
     bad = (eig[..., 0] <= 0.0) | (eig[..., 0] <= _COND_FLOOR * eig[..., -1])
-    if np.any(bad):
+    if bad.any():
         k = int(np.argmax(bad))
         raise SingularCovariance(
             f"residual covariance singular at t = {grid.t[k]:.4f}",

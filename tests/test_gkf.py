@@ -382,6 +382,21 @@ class TestSameFloatsAsFullBisection:
                   for n in (10, 15, 30) for alpha in (0.15, 0.10, 0.05)]
         assert len(evals) / len(solves) <= 30.0
 
+    def test_evaluation_count_is_pinned(self, monkeypatch):
+        # Steps on a bracket too wide to stop or check evaluate exactly the midpoints
+        # the doubt rule puts in [a, b]: no more and no fewer than these 230.
+        evals = []
+
+        def counted(h, c):
+            evals.append(h)
+            return expected_ec(h, c)
+
+        monkeypatch.setattr(gkf, "expected_ec", counted)
+        for n, l1 in ((15, 4.3), (10, 1.6), (30, 31.0)):
+            for alpha in (0.15, 0.10, 0.05):
+                solve_quantile(alpha, EcContext(n, l1))
+        assert len(evals) == 230
+
 
 class TestGkfAgainstMonteCarlo:
     def test_quantile_tracks_simulation(self):

@@ -361,3 +361,21 @@ class TestSameBytesAsTheArrayFormulas:
             assert so3.exp_so3(av).tobytes() == so3.exp_so3(a).tobytes()
         for Rv in strided_views(R, 2):
             assert so3.log_so3(Rv, validate=False).tobytes() == so3.log_so3(R, validate=False).tobytes()
+
+    def test_read_only_inputs_stay_untouched(self):
+        # CurveSample and RotationCurve hold read-only arrays; the kernels that
+        # accumulate in place must write only into buffers of their own.
+        rng = np.random.default_rng(25)
+        a = rng.standard_normal((4, 7, 3))
+        a[0, :3] = [[0.0, 0.0, 0.0], [1e-8, 0.0, -0.0], [0.0, np.pi - 1e-6, 0.0]]
+        R = so3.exp_so3(a)
+        P = R[1]
+        for X in (a, R, P):
+            X.flags.writeable = False
+        before = [X.tobytes() for X in (a, R, P)]
+        results = [(so3.exp_so3(a), (a,)), (so3.exp_so3(a[0, 1]), (a,)),
+                   (so3.log_so3(R), (R,)), (so3.log_so3(R[0, 2]), (R,)),
+                   (so3._transpose_times(P, R), (P, R)), (so3._transpose_times(P, R[2]), (P, R))]
+        assert [X.tobytes() for X in (a, R, P)] == before
+        for out, inputs in results:
+            assert not any(np.shares_memory(out, X) for X in inputs)
