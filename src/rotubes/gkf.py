@@ -104,6 +104,12 @@ def expected_ec(h: float, ctx: EcContext) -> float:
     return 2.0 * rho0 + _FOUR_PI * rho2 + ctx.l1 * (2.0 * rho1 + _FOUR_PI * rho3)
 
 
+def _check_alpha(alpha) -> float:
+    if not (_is_real(alpha) and 0.0 < alpha <= 0.5):
+        raise ValueError(f"alpha must be in (0, 0.5], got {alpha!r}")
+    return float(alpha)
+
+
 def _doubt_interval(f, alpha: float, a: float, f_a: float, b: float, f_b: float) -> tuple:
     """The interval where a bisection step on [a, b] is in doubt: Illinois regula falsi
     on log f (nearly linear in h past the mode) narrows [a, b], keeping f(a) >= alpha >
@@ -137,9 +143,7 @@ def solve_quantile(alpha: float, ctx: EcContext) -> float:
     expected_ec is evaluated only where a step is in doubt; elsewhere the step goes
     where f, decreasing past the mode, sends it.
     """
-    if not (_is_real(alpha) and 0.0 < alpha <= 0.5):
-        raise ValueError(f"alpha must be in (0, 0.5], got {alpha!r}")
-    alpha = float(alpha)
+    alpha = _check_alpha(alpha)
 
     def f(h: float) -> float:
         return expected_ec(h, ctx)

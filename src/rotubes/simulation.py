@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import so3, tubes
+from . import gkf, so3, tubes
 from .curves import GRID_SIZE, CurveSample, RotationCurve, TimeGrid
 from .errors import SingularCovariance, _is_int, _is_real
 
@@ -231,18 +231,19 @@ def coverage_experiment(spec: ErrorProcessSpec, n: int, reps: int,
     covariance are tolerated as non-covering up to 0.1 percent of reps,
     beyond that the run aborts.
 
-    A replication's tubes share one center, S and n, so containment computes
-    the same H_t for each and compares it with each tube's quantile: the
-    tubes are nested.  They are tested narrowest first (by quantile, not by
-    alpha), and the first that holds the center decides it for every wider
-    one.
+    Every alpha is checked before the first draw.  The tubes of a replication
+    are nested (one center, S and n; the quantile falls as alpha grows), and
+    each is built, its quantile solved, only when tested, largest alpha first:
+    once one holds the center, no wider tube's quantile is solved, except for an
+    alpha within 2e-8 below it (each root is good to 1e-8 in EEC value).
 
     Replications are drawn in chunks of about _CHUNK_POINTS curve points, one keyed
     sample_gp_sample pass each, with the same bits as one replication at a time.
     """
     n, reps = _check_design(n, reps)
     grid = grid if grid is not None else TimeGrid.uniform(GRID_SIZE)
-    alphas = [float(a) for a in alphas]
+    alphas = [gkf._check_alpha(a) for a in alphas]
+    ranked = sorted(enumerate(alphas), key=lambda pair: -pair[1])    # largest alpha first
     center = RotationCurve.identity(grid)
 
     covered = np.zeros((reps, len(alphas)), dtype=bool)
@@ -252,13 +253,11 @@ def coverage_experiment(spec: ErrorProcessSpec, n: int, reps: int,
         drawn = sample_gp_sample(spec, center, grid, n, seed, range(reps)[start:start + chunk])
         for rep, (sample, _) in enumerate(drawn, start):
             try:
-                ing = tubes.tube_ingredients(sample)
-                built = [tubes.assemble_tube(ing, alpha) for alpha in alphas]
-                order = sorted(range(len(alphas)), key=lambda a: built[a].hquant)
-                for pos, a_idx in enumerate(order):
-                    if tubes.tube_contains(built[a_idx], center)[1]:
-                        covered[rep, order[pos:]] = True
-                        break
+                ing, held = tubes.tube_ingredients(sample), -math.inf   # largest alpha that held
+                for a_idx, alpha in ranked:
+                    if alpha == held or alpha < held - 2.0 * gkf._VALUE_TOL or tubes.tube_contains(
+                            tubes.assemble_tube(ing, alpha), center)[1]:
+                        covered[rep, a_idx], held = True, max(held, alpha)
             except SingularCovariance:
                 n_singular += 1
 

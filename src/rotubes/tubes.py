@@ -25,7 +25,16 @@ _OVERLAP_MARGIN = 1e-6
 
 
 def _check_spd(S: np.ndarray, grid: TimeGrid) -> None:
-    """Runs where S enters, built exactly symmetric: tube_ingredients and io.tube_from_json."""
+    """Raises at the first t where eigvalsh's lmin <= max(0, 1e-12 lmax); S is built symmetric."""
+    # eigvalsh runs only where this certificate fails: with tr in (1e-90, 1e90) and |S_ij| <= tr,
+    # a > 0, ad - b^2 > c tr^2 and 4 det > c tr^3 (lower triangle, as eigvalsh reads) make S SPD
+    # beyond rounding; lmin / lmax >= det / ((tr/2)^2 tr) > c = 1e-9, 1e3 x _COND_FLOOR, 1e5 x ulps.
+    with np.errstate(over="ignore", invalid="ignore"):      # NaN and inf fail the certificate
+        (a, _, _), (b, d, _), (c, e, f) = S.transpose((-2, -1, *range(S.ndim - 2)))
+        tr, det = a + d + f, a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+        if ((a > 0.0) & (a * d - b * b > 1e-9 * tr * tr) & (4.0 * det > 1e-9 * tr ** 3)
+                & (np.abs(S).max(axis=(-2, -1)) <= tr) & (1e-90 < tr) & (tr < 1e90)).all():
+            return
     eig = np.linalg.eigvalsh(S)
     bad = (eig[..., 0] <= 0.0) | (eig[..., 0] <= _COND_FLOOR * eig[..., -1])
     if bad.any():
@@ -53,10 +62,8 @@ class ConfidenceTube:
             raise ValueError(f"S must have shape ({len(self.grid)}, 3, 3)")
         if not (_is_real(self.hquant) and self.hquant > 0.0 and math.isfinite(self.hquant)):
             raise ValueError(f"hquant must be finite and positive, got {self.hquant!r}")
-        if not (_is_real(self.alpha) and 0.0 < self.alpha <= 0.5):
-            raise ValueError(f"alpha must be in (0, 0.5], got {self.alpha!r}")
+        object.__setattr__(self, "alpha", gkf._check_alpha(self.alpha))
         object.__setattr__(self, "hquant", float(self.hquant))
-        object.__setattr__(self, "alpha", float(self.alpha))
 
     @property
     def grid(self) -> TimeGrid:

@@ -10,9 +10,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import rotubes as rt
-from rotubes import battery, simulation, tubes
+from rotubes import battery, gkf, simulation, tubes
 from rotubes.curves import RotationCurve, TimeGrid
-from rotubes.errors import SingularCovariance
+from rotubes.errors import NoRoot, SingularCovariance
 from rotubes.simulation import (MIXING_MATRICES, _error_paths, _generating_paths,
                                 _keyed_streams, modulation)
 
@@ -323,6 +323,30 @@ def per_alpha_covered(spec, n, reps, alphas, grid, seed):
     return covered, n_singular
 
 
+def narrowest_first_covered(spec, n, reps, alphas, grid, seed):
+    """Covered flags, singular count and tubes tested, with every quantile solved up
+    front: the tubes tested in increasing quantile, and the first that holds the
+    center covering every tube of a larger quantile."""
+    center = RotationCurve.identity(grid)
+    covered = np.zeros((reps, len(alphas)), dtype=bool)
+    n_singular = tested = 0
+    for rep in range(reps):
+        key = (seed, rep) if isinstance(seed, int) else (*seed, rep)
+        sample, _ = rt.sample_gp_sample(spec, center, grid, n, key)
+        try:
+            ing = tubes.tube_ingredients(sample)
+            built = [tubes.assemble_tube(ing, alpha) for alpha in alphas]
+            order = sorted(range(len(alphas)), key=lambda a: built[a].hquant)
+            for pos, a_idx in enumerate(order):
+                tested += 1
+                if tubes.tube_contains(built[a_idx], center)[1]:
+                    covered[rep, order[pos:]] = True
+                    break
+        except SingularCovariance:
+            n_singular += 1
+    return covered, n_singular, tested
+
+
 def bench_module(name, monkeypatch):
     path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
@@ -393,6 +417,51 @@ class TestCoverageExperiment:
         monkeypatch.setattr(simulation, "_keyed_streams", no_draw)
         with pytest.raises(ValueError, match=message):
             rt.coverage_experiment(rt.ErrorProcessSpec(1, 1, 1, 0.05), n, reps, [0.1])
+
+    @pytest.mark.parametrize("alphas", [[0.15, 0.0], [0.1, math.nan], [0.1, 0.7]])
+    def test_bad_alpha_is_refused_before_any_draw(self, alphas, monkeypatch):
+        # The widest tube's quantile is often never solved, so solve_quantile alone
+        # would not see a bad small alpha: it would be counted covered.
+        def no_draw(*args):
+            raise AssertionError("drew before checking the alphas")
+
+        monkeypatch.setattr(simulation, "_keyed_streams", no_draw)
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 0\.5\], got "):
+            rt.coverage_experiment(rt.ErrorProcessSpec(1, 1, 1, 0.05), 10, 3, alphas)
+
+    def test_rough_sample_at_n4_still_names_the_first_alpha_without_a_root(self):
+        # At 3 degrees of freedom the EEC tends to 2 L1 / pi, so no alpha below that
+        # has a root; the largest alpha is solved first and raises.
+        with pytest.raises(NoRoot, match=r"never falls below alpha = 0\.15 for N = 4"):
+            rt.coverage_experiment(rt.ErrorProcessSpec(3, 2, 2, 0.1), n=4, reps=40,
+                                   alphas=[0.15, 0.10, 0.05], grid=TimeGrid.uniform(51),
+                                   seed=2026)
+
+    @pytest.mark.parametrize("alphas", [battery.ALPHAS, (0.05, 0.15, 0.10), (0.1, 0.1, 0.05),
+                                        (0.1, 0.1 - 1e-9)])
+    @pytest.mark.parametrize("family", [1, 2, 3])
+    def test_lazy_solves_decide_as_solving_every_quantile(self, family, alphas, monkeypatch):
+        spec, n, reps, grid = rt.ErrorProcessSpec(family, 3, 2, 0.6), 10, 12, TimeGrid.uniform(51)
+        for seed in (1, 2, 3, 4):
+            covered, n_singular, _ = narrowest_first_covered(spec, n, reps, alphas, grid, seed)
+            calls = {"solve": 0, "contains": 0}
+            solve, contains = gkf.solve_quantile, tubes.tube_contains
+
+            def counted_solve(alpha, ctx):
+                calls["solve"] += 1
+                return solve(alpha, ctx)
+
+            def counted_contains(tube, curve):
+                calls["contains"] += 1
+                return contains(tube, curve)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(gkf, "solve_quantile", counted_solve)
+                patch.setattr(tubes, "tube_contains", counted_contains)
+                report = rt.coverage_experiment(spec, n, reps, list(alphas), grid, seed=seed)
+            assert report.rates == tuple(float(r) for r in covered.mean(axis=0))
+            assert report.n_singular == n_singular
+            assert calls["solve"] == calls["contains"] <= len(alphas) * reps
 
     @pytest.mark.parametrize("sigma", [1e100, 1e150])
     def test_huge_finite_sigma_runs_without_warnings(self, sigma):
@@ -487,7 +556,15 @@ class TestCoverageExperiment:
         finally:
             tracer.uninstall()
         assert [h for h in expected_hooks if tracer.calls_of(h) == 0] == []
-        assert tracer.calls_of("tubes.assemble") == 2 * 3 * len(battery.ALPHAS)
+        # One quantile solved, one tube assembled and one tested per tube the
+        # narrowest-first loop tests on the same draws.
+        n, sigma, l, j = battery.ROWS[0]
+        tested = sum(narrowest_first_covered(rt.ErrorProcessSpec(family, l, j, sigma), n, 2,
+                                             battery.ALPHAS, TimeGrid.uniform(21),
+                                             (5, 0, family))[2] for family in (1, 2, 3))
+        assert tested < 2 * 3 * len(battery.ALPHAS)
+        for hook in ("tubes.assemble", "gkf.solve_quantile", "tubes.contains"):
+            assert tracer.calls_of(hook) == tested, hook
 
 
 class TestMcQuantileOracle:

@@ -89,6 +89,8 @@ def strided_views(X, c):
 
 # Entries that stress rounding and the sign of zero, beside arbitrary ones.
 ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]) | st.floats(-2.0, 2.0)
+# Entries a rotation check must refuse, and a zero whose sign must survive.
+SPECIAL_ENTRIES = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 1e300])
 # Angles at zero, below and at the small-angle switch, generic, near and at pi.
 ANGLES = (st.sampled_from([0.0, 1e-6, np.pi, np.pi - 1e-5]) | st.floats(0.0, 1e-6)
           | st.floats(0.0, np.pi) | st.floats(np.pi - 1e-4, np.pi))
@@ -119,6 +121,23 @@ def rotation_stacks(draw):
     exact = np.where(np.eye(3, dtype=bool), np.reshape([np.diag(d) for d in diagonals],
                                                        (-1, 3, 3)), zeros)
     return np.concatenate([where_exp(axes * angles), exact])
+
+
+def strided_rotation_test(R):
+    """so3._rotation_test's formula on the strided column views of R, restated as the
+    reference for any rewrite of the check (a contiguous copy of the planes, say)."""
+    c0, c1, c2 = R.transpose((-1, -2, *range(R.ndim - 2)))
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram_err = np.abs([dot(c0, c0) - 1.0, dot(c1, c1) - 1.0, dot(c2, c2) - 1.0,
+                           dot(c0, c1), dot(c0, c2), dot(c1, c2)]).max(axis=0)
+        det = dot(c0, (c1[1] * c2[2] - c1[2] * c2[1], c1[2] * c2[0] - c1[0] * c2[2],
+                       c1[0] * c2[1] - c1[1] * c2[0]))
+    ok = (gram_err <= so3.ROTATION_TOL) & (np.abs(det - 1.0) <= so3.ROTATION_TOL)
+    return ok, gram_err, det
 
 
 class TestHatVee:
@@ -361,6 +380,30 @@ class TestSameBytesAsTheArrayFormulas:
             assert so3.exp_so3(av).tobytes() == so3.exp_so3(a).tobytes()
         for Rv in strided_views(R, 2):
             assert so3.log_so3(Rv, validate=False).tobytes() == so3.log_so3(R, validate=False).tobytes()
+
+    @given(data=st.data(), lead=st.sampled_from([(), (7,), (3, 5)]))
+    @example(data=None, lead=(2,))
+    def test_rotation_test_equals_the_strided_formula(self, data, lead):
+        # Every output, the sign of zero included, is the strided formula's float.
+        if data is None:
+            R = np.array([np.eye(3), -0.0 * np.eye(3)])
+            R[1, 0, 1], R[1, 2, 2] = np.nan, np.inf
+        else:
+            R = np.resize(data.draw(rotation_stacks()), lead + (3, 3))
+            edit = data.draw(hnp.arrays(bool, R.shape, elements=st.sampled_from([False] * 6
+                                                                                  + [True])))
+            values = data.draw(hnp.arrays(float, R.shape, elements=ENTRIES | SPECIAL_ENTRIES))
+            R = np.where(edit, values, R)
+        for X in (R, *strided_views(R, 2)):
+            (ok, gram_err, det), want = so3._rotation_test(X), strided_rotation_test(X)
+            assert np.asarray(ok).tobytes() == np.asarray(want[0]).tobytes()
+            # x86 returns the NaN of either operand, and numpy's contiguous and strided
+            # loops order them differently: a NaN may change its sign bit, nothing else.
+            for got, ref in ((gram_err, want[1]), (det, want[2])):
+                assert np.shape(got) == np.shape(ref)
+                assert np.array_equal(np.isnan(got), np.isnan(ref))
+                assert (np.where(np.isnan(got), 0.0, got).tobytes()
+                        == np.where(np.isnan(ref), 0.0, ref).tobytes())
 
     def test_read_only_inputs_stay_untouched(self):
         # CurveSample and RotationCurve hold read-only arrays; the kernels that

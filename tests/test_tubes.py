@@ -4,6 +4,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial.transform import Rotation
 
 import rotubes as rt
@@ -12,7 +15,7 @@ from rotubes import so3
 from rotubes.curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid,
                             apply_action)
 from rotubes.errors import GridMismatch, NoConvergence, SingularCovariance
-from rotubes.tubes import (ConfidenceTube, OverlapReport, _right_jacobian, act_on_tube,
+from rotubes.tubes import (ConfidenceTube, OverlapReport, _check_spd, _right_jacobian, act_on_tube,
                            build_tube, compare_tubes, tube_contains, tube_ingredients)
 
 
@@ -22,6 +25,83 @@ def gp_sample(n=8, k=41, sigma=0.05, seed=0, center=None):
     sample, paths = rt.sample_gp_sample(rt.ErrorProcessSpec(1, 1, 1, sigma),
                                         center, grid, n, seed)
     return sample, center, paths
+
+
+def eigvalsh_flag(S):
+    """Index of the first point the eigensolver rule flags, or None: the SPD rule
+    evaluated by eigvalsh on every point, without a certificate."""
+    eig = np.linalg.eigvalsh(S)
+    bad = (eig[..., 0] <= 0.0) | (eig[..., 0] <= 1e-12 * eig[..., -1])
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+# Smallest-to-largest eigenvalue ratios: clearly conditioned, straddling the 1e-12
+# floor, zero (rank deficient) and negative (indefinite).
+RATIOS = (st.floats(1e-9, 1.0) | st.floats(-14.0, -10.0).map(lambda u: 10.0 ** u)
+          | st.sampled_from([0.0, 1e-12, -1e-12, -1e-3, -1.0]))
+# Entries for matrices drawn one entry at a time: off-diagonals beyond the diagonal,
+# magnitudes near the float limits, NaN and inf.
+RAW = st.floats(-10.0, 10.0) | st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1e-300, 1e200])
+
+
+@st.composite
+def covariance_points(draw):
+    """One exactly symmetric 3x3 matrix: Q diag(lam) Q^T with lam = scale (ratio, mid, 1),
+    or six drawn entries."""
+    if draw(st.booleans()):
+        a, b, c, d, e, f = draw(hnp.arrays(float, 6, elements=RAW))
+        return np.array([[a, b, c], [b, d, e], [c, e, f]])
+    lam = 10.0 ** draw(st.integers(-8, 8) | st.sampled_from([-107, -106, 95, 110])) * np.array(
+        [draw(RATIOS), draw(st.floats(0.0, 1.0) | RATIOS), 1.0])
+    Q = so3.exp_so3(draw(hnp.arrays(float, 3, elements=st.floats(-3.0, 3.0))))
+    M = (Q * lam) @ Q.T
+    return M + M.T                      # entry (i, j) and (j, i) are the same float
+
+
+class TestSpdCertificate:
+    @settings(max_examples=400)
+    @given(points=st.lists(covariance_points(), min_size=2, max_size=6))
+    @example(points=[np.diag([1.0, 2.0, 3.0]), np.diag([1e-12, 1.0, 1.0])])
+    @example(points=[np.eye(3), np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])])
+    @example(points=[np.eye(3), np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0])])
+    @example(points=[1e-100 * np.eye(3), 1e95 * np.eye(3), np.diag([1.0, 1.0, 0.0])])
+    # Rank deficient at a scale where det rounds in subnormal steps of 5e-324, not
+    # relative ones: 4 det reads above 1e-9 tr^3 though lmin / lmax is below 1e-12.
+    @example(points=[np.eye(3), np.array([
+        [7.771067142574105e-108, 2.955216258115292e-109, 9.743948136446797e-108],
+        [2.955216258115292e-109, 1.999285849122402e-107, -2.3547004703337043e-109],
+        [9.743948136446797e-108, -2.3547004703337043e-109, 1.2236074366201894e-107]])])
+    def test_raises_where_the_eigensolver_rule_flags(self, points):
+        S, grid = np.array(points), TimeGrid.uniform(len(points))
+        try:
+            k = eigvalsh_flag(S)
+        except np.linalg.LinAlgError:           # eigvalsh refuses some NaN and inf points
+            with pytest.raises(np.linalg.LinAlgError):
+                _check_spd(S, grid)
+            return
+        if k is None:
+            _check_spd(S, grid)
+            return
+        with pytest.raises(SingularCovariance) as info:
+            _check_spd(S, grid)
+        assert (info.value.index, info.value.t) == (k, float(grid.t[k]))
+
+    def test_well_conditioned_covariance_needs_no_eigensolver(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(S):
+            calls.append(S.shape)
+            return eigvalsh(S)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        sample, _, _ = gp_sample(n=10, k=101, seed=26)
+        tube_ingredients(sample)
+        _check_spd(np.tile(np.diag([1.0, 2.0, 3.0]), (4, 1, 1)), TimeGrid.uniform(4))
+        assert calls == []
+        with pytest.raises(SingularCovariance):
+            _check_spd(np.array([np.eye(3), np.diag([1e-13, 1.0, 1.0])]), TimeGrid.uniform(2))
+        assert calls == [(2, 3, 3)]
 
 
 class TestHotelling:
