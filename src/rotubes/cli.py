@@ -12,6 +12,7 @@ import os
 import sys
 
 from . import battery as battery_mod
+from . import gkf
 from . import io as rio
 from .curves import GRID_SIZE, CurveSample, TimeGrid, apply_action
 from .errors import RotubesError
@@ -80,10 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _alpha(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 0.5:          # NaN fails too
-        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 0.5], got {text!r}")
-    return value
+    try:
+        return gkf._check_alpha(float(text))
+    except ValueError as exc:           # the library's rule, refused as a usage error
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _alpha_list(text: str) -> list[float]:

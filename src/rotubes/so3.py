@@ -106,16 +106,12 @@ def _rotation_test(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ok, gram_err, det
 
 
-def is_rotation(R: np.ndarray) -> np.ndarray:
-    """Elementwise check of R^T R = I and det(R) = 1 within ROTATION_TOL."""
+def check_rotation(R: np.ndarray) -> None:
+    """Raise InvalidRotation unless R^T R = I and det(R) = 1 within ROTATION_TOL for
+    every stacked matrix."""
     R = np.asarray(R, dtype=float)
     _check_shape_33(R)
-    return _rotation_test(R)[0]
-
-
-def check_rotation(R: np.ndarray) -> None:
-    """Raise InvalidRotation unless every stacked matrix passes is_rotation."""
-    ok = is_rotation(R)
+    ok = _rotation_test(R)[0]
     if not ok.all():
         raise InvalidRotation(f"{np.size(ok) - np.count_nonzero(ok)} matrix(es) violate "
                               f"rotation invariants (tol {ROTATION_TOL:.1e})")

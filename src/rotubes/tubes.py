@@ -25,7 +25,8 @@ _OVERLAP_MARGIN = 1e-6
 
 
 def _check_spd(S: np.ndarray, grid: TimeGrid) -> None:
-    """Raises at the first t where eigvalsh's lmin <= max(0, 1e-12 lmax); S is built symmetric."""
+    """Raises at the first t where S is not finite or fails eigvalsh's lmin > max(0, 1e-12 lmax)
+    (a NaN eigenvalue fails it too); S is built symmetric."""
     # eigvalsh runs only where this certificate fails: with tr in (1e-90, 1e90) and |S_ij| <= tr,
     # a > 0, ad - b^2 > c tr^2 and 4 det > c tr^3 (lower triangle, as eigvalsh reads) make S SPD
     # beyond rounding; lmin / lmax >= det / ((tr/2)^2 tr) > c = 1e-9, 1e3 x _COND_FLOOR, 1e5 x ulps.
@@ -35,8 +36,9 @@ def _check_spd(S: np.ndarray, grid: TimeGrid) -> None:
         if ((a > 0.0) & (a * d - b * b > 1e-9 * tr * tr) & (4.0 * det > 1e-9 * tr ** 3)
                 & (np.abs(S).max(axis=(-2, -1)) <= tr) & (1e-90 < tr) & (tr < 1e90)).all():
             return
-    eig = np.linalg.eigvalsh(S)
-    bad = (eig[..., 0] <= 0.0) | (eig[..., 0] <= _COND_FLOOR * eig[..., -1])
+    finite = np.isfinite(S).all(axis=(-2, -1))         # eigvalsh sees finite points only
+    eig = np.linalg.eigvalsh(np.where(finite[..., None, None], S, np.eye(3)))
+    bad = ~finite | ~(eig[..., 0] > np.maximum(0.0, _COND_FLOOR * eig[..., -1]))
     if bad.any():
         k = int(np.argmax(bad))
         raise SingularCovariance(
@@ -184,7 +186,7 @@ def _min_mahalanobis_to_other(D: np.ndarray, L: np.ndarray, B: np.ndarray,
 
     SLSQP under 1 - w^T w >= 0 from w = 0 and from w_edge, each value read at
     the solution rescaled into the ball; a start that ends unconverged above
-    the threshold 1 raises NoConvergence.
+    the threshold 1 (L and B carry the overlap margin) raises NoConvergence.
     """
     from scipy.optimize import minimize
 
@@ -209,28 +211,28 @@ def _min_mahalanobis_to_other(D: np.ndarray, L: np.ndarray, B: np.ndarray,
 def compare_tubes(a: ConfidenceTube, b: ConfidenceTube) -> OverlapReport:
     """Pointwise intersection test of two tubes on a shared grid.
 
-    At each t, tube a's cross-section is the image u = L w of the unit ball,
-    L = sqrt(h_a / n_a) chol(S_a), in the algebra at a's center; tube b's is
-    pulled back through the exact group logarithm (no linearization), and the
-    minimum of b's form over a's ellipsoid decides.  Array certificates
-    settle most points: overlap if a's ellipsoid holds b's center, or a's
-    center or a's boundary point toward b's center lies in b's tube;
-    non-overlap if the centers lie further apart than the two largest
-    semi-axes.  SLSQP decides the rest and raises NoConvergence rather than
-    report an unconverged non-overlap.  Non-overlap needs the minimum to
-    exceed b's threshold by a relative margin of 1e-6.
+    Both tubes are widened by the relative margin 1e-6 on their quantiles, so
+    the decision does not depend on argument order.  At each t, a's
+    cross-section is u = L w over the unit ball, L = sqrt((1 + 1e-6) h_a / n_a)
+    chol(S_a), in the algebra at a's center; b's tube m^T B m <= 1,
+    B = n_b / ((1 + 1e-6) h_b) S_b^-1, is pulled back through the exact group
+    logarithm (no linearization), and overlap means the minimum of b's form
+    over a's ellipsoid is at most 1.  Array certificates settle most points:
+    overlap if a's ellipsoid holds b's center, or a's center or a's boundary
+    point toward b's center lies in b's tube; non-overlap if the centers lie
+    further apart than the two largest semi-axes.  SLSQP decides the rest and
+    raises NoConvergence rather than report an unconverged non-overlap.
     """
     _require_same_grid(a.grid, b.grid, "tubes")
     D = np.swapaxes(b.center.values, -1, -2) @ a.center.values
-    L = math.sqrt(a.hquant / a.n) * np.linalg.cholesky(a.s)
-    B = (b.n / b.hquant) * np.linalg.inv(b.s)           # b's tube: m^T B m <= 1
+    L = math.sqrt((1.0 + _OVERLAP_MARGIN) * a.hquant / a.n) * np.linalg.cholesky(a.s)
+    B = (b.n / ((1.0 + _OVERLAP_MARGIN) * b.hquant)) * np.linalg.inv(b.s)
     m0 = so3.log_so3(D, validate=False)                 # exp(-m0) = D^T: b's center
     w_center = np.linalg.solve(L, -m0[..., None])[..., 0]
     q = np.where(np.linalg.norm(w_center, axis=-1) <= 1.0, 0.0,
                  np.einsum("ka,kab,kb->k", m0, B, m0))
     # Triangle inequality: a common point is within a semi-axis of each center.
-    reach = np.linalg.norm(L, 2, axis=(1, 2)) + np.sqrt(
-        (1.0 + _OVERLAP_MARGIN) / np.linalg.eigvalsh(B)[:, 0])
+    reach = np.linalg.norm(L, 2, axis=(1, 2)) + np.sqrt(1.0 / np.linalg.eigvalsh(B)[:, 0])
     q[np.linalg.norm(m0, axis=-1) > reach] = np.inf
     todo = np.flatnonzero((q > 1.0) & np.isfinite(q))
     w_edge = w_center[todo] / np.linalg.norm(w_center[todo], axis=-1, keepdims=True)
@@ -240,4 +242,4 @@ def compare_tubes(a: ConfidenceTube, b: ConfidenceTube) -> OverlapReport:
     for k, w in zip(todo, w_edge):
         if q[k] > 1.0:
             q[k] = _min_mahalanobis_to_other(D[k], L[k], B[k], w, a.grid.t[k])
-    return OverlapReport(grid=a.grid, overlap=q <= 1.0 + _OVERLAP_MARGIN)
+    return OverlapReport(grid=a.grid, overlap=q <= 1.0)

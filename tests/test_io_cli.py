@@ -18,6 +18,7 @@ from scipy.spatial.transform import Rotation
 
 import rotubes as rt
 from rotubes import cli as rcli
+from rotubes import gkf
 from rotubes import io as rio
 from rotubes import so3
 from rotubes.cli import cli_main
@@ -275,7 +276,7 @@ class TestIngest:
             R = smooth_curve(TimeGrid(np.linspace(0.0, 1.0, rows)), 0.5, n).values.copy()
             if schema == "matrix":
                 R[3] += 1e-6 * rng.standard_normal((3, 3))
-                assert not so3.is_rotation(R[3])
+                assert not so3._rotation_test(R[3])[0]
                 body = np.column_stack([t, R.reshape(-1, 9)])
             else:
                 body = np.column_stack([t, Rotation.from_matrix(R).as_euler("ZXY", degrees=True)])
@@ -365,7 +366,7 @@ class TestIngest:
             t = np.sort(rng.uniform(0.0, 3.0, rows))
             R = smooth_curve(TimeGrid(np.linspace(0.0, 1.0, rows)), 0.6, n).values
             R = R + rng.uniform(-1.5e-7, 1.5e-7, R.shape)
-            assert not so3.is_rotation(R).any()
+            assert not so3._rotation_test(R)[0].any()
             paths.append(str(tmp_path / f"walk{n}.csv"))
             Path(paths[-1]).write_text("".join(",".join(map(repr, row)) + "\n" for row in
                                                np.column_stack([t, R.reshape(-1, 9)]).tolist()))
@@ -1137,6 +1138,23 @@ class TestCli:
                         "--out", str(tmp_path / "t.json")) == 2
         assert "--alpha" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("alpha", ["0.5", "5e-324", "0.05", "0.5000000000000001", "0",
+                                       "-0.0", "nan", "inf", "0.7", "half"])
+    def test_tube_alpha_rule_is_the_library_rule(self, tmp_path, capsys, alpha):
+        # Exit 2 with _check_alpha's message exactly where it refuses the parsed float;
+        # an accepted alpha gets past parsing to the empty --input directory (exit 1).
+        try:
+            library = gkf._check_alpha(float(alpha))
+        except ValueError as exc:
+            library = str(exc)
+        code = self.run("tube", "--input", str(tmp_path), "--alpha", alpha,
+                        "--out", str(tmp_path / "t.json"))
+        err = capsys.readouterr().err
+        if isinstance(library, float):
+            assert code == 1 and "lists no curve files" in err
+        else:
+            assert code == 2 and f"argument --alpha: {library}" in err
 
     def test_usage_error_exit_code(self):
         assert self.run("tube", "--alpha", "0.05") == 2

@@ -29,10 +29,15 @@ def gp_sample(n=8, k=41, sigma=0.05, seed=0, center=None):
 
 def eigvalsh_flag(S):
     """Index of the first point the eigensolver rule flags, or None: the SPD rule
-    evaluated by eigvalsh on every point, without a certificate."""
-    eig = np.linalg.eigvalsh(S)
-    bad = (eig[..., 0] <= 0.0) | (eig[..., 0] <= 1e-12 * eig[..., -1])
-    return int(np.argmax(bad)) if bad.any() else None
+    evaluated point by point, without a certificate.  A point that is not finite
+    is flagged; otherwise its eigvalsh eigenvalues must pass lmin > max(0, 1e-12 lmax)."""
+    for k, P in enumerate(S):
+        if not np.isfinite(P).all():
+            return k
+        eig = np.linalg.eigvalsh(P)
+        if not eig[0] > max(0.0, 1e-12 * eig[-1]):
+            return k
+    return None
 
 
 # Smallest-to-largest eigenvalue ratios: clearly conditioned, straddling the 1e-12
@@ -64,6 +69,11 @@ class TestSpdCertificate:
     @example(points=[np.diag([1.0, 2.0, 3.0]), np.diag([1e-12, 1.0, 1.0])])
     @example(points=[np.eye(3), np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])])
     @example(points=[np.eye(3), np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0])])
+    # One point that is not finite, which eigvalsh alone passes or refuses with LinAlgError.
+    @example(points=[np.eye(3), np.array([[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0],
+                                          [0.0, 0.0, 1.0]]), np.eye(3)])
+    @example(points=[np.eye(3), np.eye(3), np.diag([np.inf, 1.0, 1.0])])
+    @example(points=[np.full((3, 3), np.nan), np.eye(3), np.eye(3)])
     @example(points=[1e-100 * np.eye(3), 1e95 * np.eye(3), np.diag([1.0, 1.0, 0.0])])
     # Rank deficient at a scale where det rounds in subnormal steps of 5e-324, not
     # relative ones: 4 det reads above 1e-9 tr^3 though lmin / lmax is below 1e-12.
@@ -73,12 +83,7 @@ class TestSpdCertificate:
         [9.743948136446797e-108, -2.3547004703337043e-109, 1.2236074366201894e-107]])])
     def test_raises_where_the_eigensolver_rule_flags(self, points):
         S, grid = np.array(points), TimeGrid.uniform(len(points))
-        try:
-            k = eigvalsh_flag(S)
-        except np.linalg.LinAlgError:           # eigvalsh refuses some NaN and inf points
-            with pytest.raises(np.linalg.LinAlgError):
-                _check_spd(S, grid)
-            return
+        k = eigvalsh_flag(S)
         if k is None:
             _check_spd(S, grid)
             return
@@ -415,7 +420,9 @@ class TestCompareTubes:
 
     @pytest.mark.parametrize("excess, overlaps, runs", [
         (-1e-4, True, 0),     # a's edge point toward b's center certifies overlap
-        (5e-7, True, 2),      # within the margin: only the search, from both starts, settles it
+        (5e-7, True, 0),      # within one tube's margin: the widened edge point certifies it
+        (1.01e-6, True, 0),   # beyond one tube's margin, within the two tubes' margins
+        (3e-6, False, 0),     # beyond the margins of both tubes: the reach certificate
         (1e-5, False, 0),     # the centers lie beyond the reach of both tubes
     ])
     def test_near_tie_at_one_grid_point(self, searches, excess, overlaps, runs):
@@ -423,17 +430,22 @@ class TestCompareTubes:
         # center lies d = r_a + r_b sqrt(1 + excess) from a's.  There a's
         # cross-section and b's tube are geodesic balls of radii r_a and r_b,
         # so the minimum of b's form over a's is ((d - r_a) / r_b)^2 = 1 + excess.
+        # Widened by 1e-6 each, the tubes meet up to excess about (r_a + r_b) / r_b * 1e-6,
+        # whichever of them is passed first.
         grid = TimeGrid.uniform(5)
         base = so3.exp_so3(np.stack([0.3 * grid.t, 0.1 * np.sin(grid.t), 0.2 * grid.t], -1))
-        r_a, r_b = 0.02, 0.015
-        other = base.copy()
-        d = r_a + r_b * np.sqrt(1.0 + excess)
-        other[2] = base[2] @ so3.exp_so3(d * np.array([2.0, -1.0, 2.0]) / 3.0)
         eye = np.broadcast_to(np.eye(3), (5, 3, 3))
-        report = compare_tubes(make_tube(base, grid, r_a ** 2 * eye, 10.0, 10),
-                               make_tube(other, grid, r_b ** 2 * eye, 12.0, 12))
-        assert report.overlap.tolist() == [True, True, overlaps, True, True]
-        assert len(searches) == runs and all(res.success for res in searches)
+        for r_a, r_b in ((0.02, 0.015), (0.015, 0.02)):
+            other = base.copy()
+            d = r_a + r_b * np.sqrt(1.0 + excess)
+            other[2] = base[2] @ so3.exp_so3(d * np.array([2.0, -1.0, 2.0]) / 3.0)
+            a = make_tube(base, grid, r_a ** 2 * eye, 10.0, 10)
+            b = make_tube(other, grid, r_b ** 2 * eye, 12.0, 12)
+            for first, second in ((a, b), (b, a)):
+                searches.clear()
+                report = compare_tubes(first, second)
+                assert report.overlap.tolist() == [True, True, overlaps, True, True]
+                assert len(searches) == runs and all(res.success for res in searches)
 
     def test_wide_and_near_pi_fixtures(self):
         # Beyond criterion 9: separations up to 1.2 rad, cross-section scales
