@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import GRID_SIZE, TimeGrid
+from .curves import DEFAULT_GRID, TimeGrid
 from .io import SCHEMA
 from .simulation import CoverageReport, ErrorProcessSpec, coverage_experiment
 
@@ -70,7 +70,7 @@ class BatteryEntry:
     reference: tuple[float, float, float]
 
 
-def run_battery(reps: int, seed: int, grid: TimeGrid | None = None,
+def run_battery(reps: int, seed: int, grid: TimeGrid = DEFAULT_GRID,
                 rows: list[tuple[int, float, int, int]] | None = None,
                 progress=None) -> list[BatteryEntry]:
     """Run every configuration (optionally a subset of rows) at `reps` each.
@@ -78,7 +78,6 @@ def run_battery(reps: int, seed: int, grid: TimeGrid | None = None,
     Entries are keyed (seed, position in rows, family), independent of execution
     order; only a prefix of ROWS reproduces the full run's entries for its rows.
     """
-    grid = grid if grid is not None else TimeGrid.uniform(GRID_SIZE)
     rows = ROWS if rows is None else rows
     entries = []
     for row_idx, (n, sigma, l, j) in enumerate(rows):

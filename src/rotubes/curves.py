@@ -53,6 +53,9 @@ class TimeGrid:
         return isinstance(other, TimeGrid) and np.array_equal(self.t, other.t)
 
 
+DEFAULT_GRID = TimeGrid.uniform(GRID_SIZE)     # frozen and read-only, so one shared instance
+
+
 def _require_same_grid(a: TimeGrid, b: TimeGrid, what: str) -> None:
     if a != b:
         raise GridMismatch(f"{what} must share the time grid")

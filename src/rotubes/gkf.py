@@ -140,8 +140,8 @@ def solve_quantile(alpha: float, ctx: EcContext) -> float:
     NonMonotoneBracket is raised.  Bisection stops at a bracket 1e-12 wide
     or of adjacent floats; a midpoint there whose value misses alpha by
     more than 1e-8 raises NoConvergence.
-    expected_ec is evaluated only where a step is in doubt; elsewhere the step goes
-    where f, decreasing past the mode, sends it.
+    The loop mirrors tests/test_gkf.py::full_bisection but calls expected_ec only to
+    check, to stop or where a step is in doubt; elsewhere f, decreasing, sets the side.
     """
     alpha = _check_alpha(alpha)
 
@@ -164,20 +164,14 @@ def solve_quantile(alpha: float, ctx: EcContext) -> float:
                          f"L1 = {ctx.l1:.6g}" + (limit if ctx.n == 4 else ""))
 
     a, b = _doubt_interval(f, alpha, lo, f_lo, hi, f_hi)
-    while hi - lo >= _VALUE_TOL * max(1.0, lo):     # too wide to stop or check: a plain step
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid) if a <= mid <= b else None
-        if (mid < a) if f_mid is None else (f_mid >= alpha):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
     checked = False
     while True:
         mid = 0.5 * (lo + hi)
+        check = not checked and hi - lo < _VALUE_TOL * max(1.0, lo)
         adjacent = mid in (lo, hi)      # the bracket cannot contract any further
         stop = hi - lo < _BRACKET_TOL or adjacent
-        f_mid = f(mid) if not checked or stop or a <= mid <= b else None
-        if not checked:
+        f_mid = f(mid) if check or stop or a <= mid <= b else None
+        if check:
             # Strict-decrease guard on the contracted bracket, at a width relative
             # to h so that it spans many floats: across a few, rounding ties and
             # wiggles in expected_ec would fail it on a decreasing function.

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gkf, so3, tubes
-from .curves import GRID_SIZE, CurveSample, RotationCurve, TimeGrid
+from .curves import DEFAULT_GRID, CurveSample, RotationCurve, TimeGrid
 from .errors import SingularCovariance, _is_int, _is_real
 
 MIXING_MATRICES = {
@@ -213,15 +213,13 @@ def sample_gp_sample(spec: ErrorProcessSpec, center: RotationCurve, grid: TimeGr
 
 
 def _check_design(n: int, reps: int) -> tuple[int, int]:
-    if not (_is_int(n) and n >= tubes.MIN_CURVES):
-        raise ValueError(f"need n >= {tubes.MIN_CURVES}, an integer, for invertible S, got {n!r}")
     if not (_is_int(reps) and reps >= 1):
         raise ValueError(f"need an integer reps: at least one replication, got {reps!r}")
-    return int(n), int(reps)
+    return tubes._check_n(n), int(reps)
 
 
 def coverage_experiment(spec: ErrorProcessSpec, n: int, reps: int,
-                        alphas: list[float], grid: TimeGrid | None = None,
+                        alphas: list[float], grid: TimeGrid = DEFAULT_GRID,
                         seed: int | tuple = 0) -> CoverageReport:
     """Simultaneous coverage of the identity center over `reps` replications.
 
@@ -241,7 +239,6 @@ def coverage_experiment(spec: ErrorProcessSpec, n: int, reps: int,
     sample_gp_sample pass each, with the same bits as one replication at a time.
     """
     n, reps = _check_design(n, reps)
-    grid = grid if grid is not None else TimeGrid.uniform(GRID_SIZE)
     alphas = [gkf._check_alpha(a) for a in alphas]
     ranked = sorted(enumerate(alphas), key=lambda pair: -pair[1])    # largest alpha first
     center = RotationCurve.identity(grid)
@@ -279,7 +276,7 @@ _ORACLE_BATCH = 2000
 
 
 def mc_quantile_oracle(spec: ErrorProcessSpec, n: int, reps: int, alpha: float,
-                       grid: TimeGrid | None = None, seed: int = 0) -> float:
+                       grid: TimeGrid = DEFAULT_GRID, seed: int = 0) -> float:
     """Empirical (1 - alpha)-quantile of max_t H_t from generating residuals.
 
     Works directly on the algebra-valued paths (no exponential map), with the
@@ -287,7 +284,6 @@ def mc_quantile_oracle(spec: ErrorProcessSpec, n: int, reps: int, alpha: float,
     independent reference for the expected-Euler-characteristic quantile.
     """
     n, reps = _check_design(n, reps)
-    grid = grid if grid is not None else TimeGrid.uniform(GRID_SIZE)
     rng = np.random.default_rng(seed)
     maxima = np.empty(reps)
     for done in range(0, reps, _ORACLE_BATCH):

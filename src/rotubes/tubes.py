@@ -19,9 +19,14 @@ from .curves import (CurveSample, RotationCurve, SpatioTemporalAction, TimeGrid,
                      _bracket, _freeze, _require_same_grid, apply_action, residuals)
 from .errors import NoConvergence, SingularCovariance, _is_int, _is_real
 
-MIN_CURVES = 4           # smallest sample with an invertible 3x3 covariance
 _COND_FLOOR = 1e-12      # min eigenvalue must exceed this times the max
 _OVERLAP_MARGIN = 1e-6
+
+
+def _check_n(n) -> int:
+    if not (_is_int(n) and n >= 4):          # the smallest sample with an invertible 3x3 S
+        raise ValueError(f"need n >= 4, an integer, got {n!r}")
+    return int(n)
 
 
 def _check_spd(S: np.ndarray, grid: TimeGrid) -> None:
@@ -57,8 +62,7 @@ class ConfidenceTube:
     n: int
 
     def __post_init__(self):
-        if not (_is_int(self.n) and self.n >= MIN_CURVES):
-            raise ValueError(f"n must be an integer >= {MIN_CURVES}, got {self.n!r}")
+        object.__setattr__(self, "n", _check_n(self.n))
         object.__setattr__(self, "s", _freeze(self.s))
         if self.s.shape != (len(self.grid), 3, 3):
             raise ValueError(f"S must have shape ({len(self.grid)}, 3, 3)")
@@ -119,8 +123,7 @@ def tube_ingredients(sample: CurveSample,
     xbar and the Hotelling statistic H_t = N xbar_t^T S_t^{-1} xbar_t are
     filled in as well.
     """
-    if sample.size < MIN_CURVES:
-        raise ValueError(f"need at least {MIN_CURVES} curves, got {sample.size}")
+    _check_n(sample.size)
     mean, x, xbar = residuals(sample, center)
     S = _freeze(np.einsum("nka,nkb->kab", x, x) / (sample.size - 1))
     _check_spd(S, sample.grid)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -384,7 +385,8 @@ class TestSameFloatsAsFullBisection:
 
     def test_evaluation_count_is_pinned(self, monkeypatch):
         # Steps on a bracket too wide to stop or check evaluate exactly the midpoints
-        # the doubt rule puts in [a, b]: no more and no fewer than these 230.
+        # the doubt rule puts in [a, b]: no more and no fewer than these 230, and the
+        # same floats in the same order.
         evals = []
 
         def counted(h, c):
@@ -396,6 +398,8 @@ class TestSameFloatsAsFullBisection:
             for alpha in (0.15, 0.10, 0.05):
                 solve_quantile(alpha, EcContext(n, l1))
         assert len(evals) == 230
+        assert hashlib.sha256("".join(h.hex() for h in evals).encode()).hexdigest() == (
+            "d4489bcc9226d7e9963b7d650dd93824fb5b1df816011440d7fdfd69f3fa2c35")
 
 
 class TestGkfAgainstMonteCarlo:

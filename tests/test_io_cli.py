@@ -309,6 +309,14 @@ class TestIngest:
             rio.ingest_curve_csv(paths[1:], 9)
         assert str(info.value) == f"{paths[1]}:6: field 3 is not numeric: 'x'"
 
+    def test_a_later_files_read_error_is_raised_once_the_files_before_it_pass(self, tmp_path):
+        paths = self._mixed_session(tmp_path)
+        with open(paths[1], "a") as fh:
+            fh.write("9,1,x,3\n")                                   # not numeric
+        with pytest.raises(ParseError) as info:
+            rio.ingest_curve_csv(paths, 9)
+        assert str(info.value) == f"{paths[1]}:6: field 3 is not numeric: 'x'"
+
     @staticmethod
     def _rewrite(path, line, new):
         """Replace 1-based line `line` of the file by `new`."""
@@ -494,6 +502,19 @@ class TestRecords:
         rio.atomic_write_text(str(tmp_path / "atomic.txt"), "y\n")
         assert stat.S_IMODE(os.stat(tmp_path / "atomic.txt").st_mode) == 0o604
         assert sorted(os.listdir(tmp_path)) == ["atomic.txt", "plain.txt"]
+
+    def test_a_failed_replace_removes_the_temporary_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "record.txt"
+        target.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="^replace refused$"):
+            rio.atomic_write_text(str(target), "new\n")
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["record.txt"]
 
     def test_seeded_tube_record_is_pinned(self):
         # One seeded tube, bit for bit: float.hex of the quantile, the LKC and
@@ -1103,6 +1124,51 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error: ValueError: sigma must be at most 1e+150, got 1e+300\n"
         assert not os.path.exists(out)
+
+    def test_simulate_coverage_prints_its_singular_replications(self, tmp_path, capsys,
+                                                                monkeypatch):
+        ingredients, calls = rt.tubes.tube_ingredients, []
+
+        def singular_first(sample, center=None):
+            calls.append(sample)
+            if len(calls) == 1:
+                raise rt.SingularCovariance("residual covariance singular", t=0.0, index=0)
+            return ingredients(sample, center)
+
+        monkeypatch.setattr(rt.tubes, "tube_ingredients", singular_first)
+        out = str(tmp_path / "report.json")
+        capsys.readouterr()
+        assert self.run("simulate-coverage", "--family", "1", "--modulation", "1",
+                        "--mixing", "1", "--sigma", "0.05", "--n", "5", "--reps", "1000",
+                        "--alphas", "0.1", "--seed", "3", "--grid-size", "11",
+                        "--out", out) == 0
+        assert "\n  singular replications: 1\n" in capsys.readouterr().out
+        assert json.load(open(out))["n_singular"] == 1 and len(calls) == 1000
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alphas", ",", "argument --alphas: need at least one alpha"),
+        ("--seed", "-1", "argument --seed: seed must be a nonnegative integer")])
+    def test_simulate_coverage_usage_errors(self, tmp_path, capsys, flag, value, message):
+        argv = {"--family": "1", "--modulation": "1", "--mixing": "1", "--sigma": "0.05",
+                "--n": "5", "--reps": "2", "--seed": "3", "--out": str(tmp_path / "r.json"),
+                flag: value}
+        capsys.readouterr()
+        assert self.run("simulate-coverage", *itertools.chain(*argv.items())) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r.json")
+
+    def test_export_euler_warns_of_gimbal_lock(self, tmp_path, capsys):
+        locked = axis_rotation("z", 25.0) @ axis_rotation("x", 90.0) @ axis_rotation("y", 10.0)
+        free = axis_rotation("z", 10.0)
+        src, out = str(tmp_path / "c.csv"), str(tmp_path / "angles.csv")
+        rio.write_curve_csv(src, RotationCurve(TimeGrid.uniform(3), np.stack([locked, free,
+                                                                              locked])))
+        capsys.readouterr()
+        assert self.run("export-euler", "--input", src, "--grid-size", "3",
+                        "--out", out) == 0
+        assert capsys.readouterr().out.startswith("warning: 2 row(s) at gimbal lock\n")
+        flags = [l.split(",")[-1] for l in open(out).read().splitlines()[1:]]
+        assert flags == ["1", "0", "1"]
 
     def test_export_euler_command(self, tmp_path):
         curve = smooth_curve(TimeGrid.uniform(9))

@@ -405,6 +405,37 @@ class TestCoverageExperiment:
             rt.coverage_experiment(rt.ErrorProcessSpec(1, 1, 1, 0.05), n=5, reps=0,
                                    alphas=[0.1])
 
+    @pytest.mark.parametrize("reps", [1000, 999])
+    def test_one_singular_replication_in_a_thousand_is_tolerated(self, reps, monkeypatch):
+        # Up to 0.1 % of reps may hit a singular covariance: each is counted and is
+        # not covered.  One in 999 is more than that, and the run aborts.
+        spec, alphas = rt.ErrorProcessSpec(1, 1, 1, 0.05), [0.15, 0.05]
+        grid = TimeGrid.uniform(11)
+        center = RotationCurve.identity(grid)
+        singular = next(r for r in range(reps) if all(
+            tubes.tube_contains(tubes.build_tube(
+                rt.sample_gp_sample(spec, center, grid, 5, (3, r))[0], alpha), center)[1]
+            for alpha in alphas))                       # a replication every tube covers
+        clean = rt.coverage_experiment(spec, 5, reps, alphas, grid, seed=3)
+        ingredients, calls = tubes.tube_ingredients, []
+
+        def singular_once(sample, center=None):
+            calls.append(sample)
+            if len(calls) == singular + 1:
+                raise SingularCovariance("residual covariance singular", t=0.0, index=0)
+            return ingredients(sample, center)
+
+        monkeypatch.setattr(tubes, "tube_ingredients", singular_once)
+        if reps == 999:
+            with pytest.raises(SingularCovariance,
+                               match=r"^1 of 999 replications hit a singular covariance$"):
+                rt.coverage_experiment(spec, 5, reps, alphas, grid, seed=3)
+            return
+        report = rt.coverage_experiment(spec, 5, reps, alphas, grid, seed=3)
+        assert clean.n_singular == 0 and report.n_singular == 1 and len(calls) == reps
+        assert [round(reps * r) for r in report.rates] == [round(reps * r) - 1
+                                                           for r in clean.rates]
+
     @pytest.mark.parametrize("n, reps, message", [(10.5, 3, r"need n >= 4, an integer"),
                                                   (10, 2.5, r"need an integer reps"),
                                                   (True, 3, r"need n >= 4, an integer"),

@@ -294,6 +294,34 @@ class TestTubeRecordValidation:
                 make_tube(eye, grid, s, hquant, n)
         assert make_tube(eye, grid, s, 1.0, 4).n == 4
 
+    @pytest.mark.parametrize("entry, n", [(entry, n) for entry in ("tube", "coverage", "oracle")
+                                          for n in (3, 2.5, True)] + [("ingredients", 3)])
+    def test_one_sample_size_rule(self, entry, n):
+        # A stored tube, both simulations and the estimator refuse n < 4 (singular S)
+        # and a non-integer n with one message.
+        grid, spec = TimeGrid.uniform(5), rt.ErrorProcessSpec(1, 1, 1, 0.05)
+        eye = np.broadcast_to(np.eye(3), (5, 3, 3))
+        build = {"tube": lambda: make_tube(eye, grid, 0.01 * eye, 1.0, n),
+                 "coverage": lambda: rt.coverage_experiment(spec, n, 2, [0.1], grid),
+                 "oracle": lambda: rt.mc_quantile_oracle(spec, n, 2, 0.1, grid),
+                 "ingredients": lambda: tube_ingredients(gp_sample(n=n, k=5)[0])}[entry]
+        with pytest.raises(ValueError, match=rf"^need n >= 4, an integer, got {n!r}$"):
+            build()
+        assert type(make_tube(eye, grid, 0.01 * eye, 1.0, np.int64(4)).n) is int
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: CurveSample(TimeGrid.uniform(5), np.broadcast_to(np.eye(3), (5, 3, 3))),
+         r"^values must have shape \(N, 5, 3, 3\), got \(5, 3, 3\)$"),
+        (lambda: so3.hat(np.zeros((4, 2))), r"^expected trailing dimension 3, got shape \(4, 2\)$"),
+        (lambda: make_tube(np.broadcast_to(np.eye(3), (5, 3, 3)), TimeGrid.uniform(5),
+                           0.01 * np.broadcast_to(np.eye(3), (4, 3, 3)), 1.0, 10),
+         r"^S must have shape \(5, 3, 3\)$"),
+        (lambda: OverlapReport(TimeGrid.uniform(5), np.ones(4, bool)),
+         r"^overlap must hold one boolean per grid point$")])
+    def test_shape_refusals(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_tube_arrays_are_read_only(self):
         # S is frozen where tube_ingredients builds it, as the center's values are.
         sample, _, _ = gp_sample(seed=3)
