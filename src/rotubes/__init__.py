@@ -15,6 +15,6 @@ from .simulation import (CoverageReport, ErrorProcessSpec, coverage_experiment,
                          mc_quantile_oracle, sample_gp_sample)
 from .so3 import exp_so3, geodesic_distance, hat, log_so3, project_to_so3
 from .tubes import (ConfidenceTube, OverlapReport, TubeIngredients, act_on_tube,
-                    build_tube, compare_tubes, tube_contains, tube_ingredients)
+                    build_tube, compare_tubes, hotelling, tube_contains, tube_ingredients)
 
 __version__ = "0.1.0"

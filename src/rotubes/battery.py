@@ -78,7 +78,10 @@ def run_battery(reps: int, seed: int, grid: TimeGrid = DEFAULT_GRID,
     Entries are keyed (seed, position in rows, family), independent of execution
     order; only a prefix of ROWS reproduces the full run's entries for its rows.
     """
-    rows = ROWS if rows is None else rows
+    rows = ROWS if rows is None else list(rows)
+    unknown = [row for row in rows if tuple(row) not in REFERENCE_RATES]
+    if unknown:
+        raise ValueError(f"rows without reference rates: {unknown}")
     entries = []
     for row_idx, (n, sigma, l, j) in enumerate(rows):
         for family in (1, 2, 3):

@@ -284,6 +284,7 @@ def mc_quantile_oracle(spec: ErrorProcessSpec, n: int, reps: int, alpha: float,
     independent reference for the expected-Euler-characteristic quantile.
     """
     n, reps = _check_design(n, reps)
+    alpha = gkf._check_alpha(alpha)
     rng = np.random.default_rng(seed)
     maxima = np.empty(reps)
     for done in range(0, reps, _ORACLE_BATCH):

@@ -1,10 +1,8 @@
 """Hotelling statistic, simultaneous confidence tubes and tube comparison.
 
-The pointwise Mahalanobis statistic of the intrinsic residuals,
-H_t = N xbar_t^T S_t^{-1} xbar_t, drives simultaneous inference: a curve
-lies in the tube when its algebra displacement a from the tube center
-satisfies N a^T S_t^{-1} a <= h at every t, with h the expected-Euler-
-characteristic quantile of max_t H_t.
+A curve lies in the tube when its Hotelling statistic H_t = N a_t^T S_t^{-1} a_t,
+a_t its algebra displacement from the tube center, is at most h at every t,
+with h the expected-Euler-characteristic quantile of max_t H_t.
 """
 
 from __future__ import annotations
@@ -98,37 +96,34 @@ def _false_runs(flags: np.ndarray) -> tuple[tuple[int, int], ...]:
                      (np.flatnonzero(edges == -1) - 1).tolist()))
 
 
-def _hotelling(n: int, S: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """n a_t^T S_t^{-1} a_t per grid point: the statistic H_t and the membership form."""
-    return n * np.einsum("ka,ka->k", a, np.linalg.solve(S, a[..., None])[..., 0])
-
-
 @dataclass(frozen=True, eq=False)
 class TubeIngredients:
-    """Per-sample pieces of a tube: center (the mean curve), S, the LKC and, given a center, H."""
+    """Per-sample pieces of a tube: center (the mean curve), S and the LKC."""
 
     center: RotationCurve
     s: np.ndarray
     l1: float
     n: int
-    h: np.ndarray | None = None
 
 
-def tube_ingredients(sample: CurveSample,
-                     center: RotationCurve | None = None) -> TubeIngredients:
+def tube_ingredients(sample: CurveSample) -> TubeIngredients:
     """Everything a tube needs except the quantile; raises on singular S.
 
     S holds the uncentered second-moment matrices (1/(N-1)) sum_n x_n x_n^T
-    of the residuals per t.  With a center curve the population residuals
-    xbar and the Hotelling statistic H_t = N xbar_t^T S_t^{-1} xbar_t are
-    filled in as well.
+    of the residuals per t; `hotelling(ingredients, center)` gives H_t.
     """
     _check_n(sample.size)
-    mean, x, xbar = residuals(sample, center)
+    mean, x, _ = residuals(sample)
     S = _freeze(np.einsum("nka,nkb->kab", x, x) / (sample.size - 1))
     _check_spd(S, sample.grid)
-    h = None if xbar is None else np.maximum(_hotelling(sample.size, S, xbar), 0.0)
-    return TubeIngredients(center=mean, s=S, l1=gkf.lkc_estimate(x), n=sample.size, h=h)
+    return TubeIngredients(center=mean, s=S, l1=gkf.lkc_estimate(x), n=sample.size)
+
+
+def hotelling(tube: ConfidenceTube | TubeIngredients, curve: RotationCurve) -> np.ndarray:
+    """H_t = n a_t^T S_t^{-1} a_t per grid point, with a_t = log(center(t)^T curve(t))."""
+    _require_same_grid(tube.center.grid, curve.grid, "tube and curve")
+    a = so3.log_so3(so3._transpose_times(tube.center.values, curve.values), validate=False)
+    return tube.n * np.einsum("ka,ka->k", a, np.linalg.solve(tube.s, a[..., None])[..., 0])
 
 
 def assemble_tube(ing: TubeIngredients, alpha: float) -> ConfidenceTube:
@@ -143,10 +138,7 @@ def build_tube(sample: CurveSample, alpha: float) -> ConfidenceTube:
 
 def tube_contains(tube: ConfidenceTube, curve: RotationCurve) -> tuple[np.ndarray, bool]:
     """Pointwise and overall membership of a curve in the tube (closed boundary)."""
-    _require_same_grid(tube.grid, curve.grid, "tube and curve")
-    rel = so3._transpose_times(tube.center.values, curve.values)
-    a = so3.log_so3(rel, validate=False)
-    per_point = _hotelling(tube.n, tube.s, a) <= tube.hquant
+    per_point = hotelling(tube, curve) <= tube.hquant
     return per_point, bool(per_point.all())
 
 
@@ -184,10 +176,10 @@ def _right_jacobian(u: np.ndarray) -> np.ndarray:
 
 
 def _min_mahalanobis_to_other(D: np.ndarray, L: np.ndarray, B: np.ndarray,
-                              w_edge: np.ndarray, t: float) -> float:
+                              witness: np.ndarray, t: float) -> float:
     """min over the unit ball |w| <= 1 of m(w)^T B m(w), m(w) = log(D exp(L w)).
 
-    SLSQP under 1 - w^T w >= 0 from w = 0 and from w_edge, each value read at
+    SLSQP under 1 - w^T w >= 0 from w = 0 and from the witness, each value read at
     the solution rescaled into the ball; a start that ends unconverged above
     the threshold 1 (L and B carry the overlap margin) raises NoConvergence.
     """
@@ -201,7 +193,7 @@ def _min_mahalanobis_to_other(D: np.ndarray, L: np.ndarray, B: np.ndarray,
 
     ball = {"type": "ineq", "fun": lambda w: 1.0 - w @ w, "jac": lambda w: -2.0 * w}
     best = np.inf
-    for w0 in (np.zeros(3), w_edge):
+    for w0 in (np.zeros(3), witness):
         res = minimize(objective, w0, jac=True, method="SLSQP", constraints=[ball])
         best = min(best, objective(res.x / max(1.0, np.linalg.norm(res.x)))[0])
         if best <= 1.0:
@@ -221,24 +213,26 @@ def compare_tubes(a: ConfidenceTube, b: ConfidenceTube) -> OverlapReport:
     B = n_b / ((1 + 1e-6) h_b) S_b^-1, is pulled back through the exact group
     logarithm (no linearization), and overlap means the minimum of b's form
     over a's ellipsoid is at most 1.  Array certificates settle most points:
-    overlap if a's ellipsoid holds b's center, or a's center or a's boundary
-    point toward b's center lies in b's tube; non-overlap if the centers lie
-    further apart than the two largest semi-axes.  SLSQP decides the rest and
-    raises NoConvergence rather than report an unconverged non-overlap.
+    non-overlap if the centers lie further apart than the two largest semi-axes;
+    overlap if a's center lies in b's tube, b's center in a's ellipsoid, or the
+    witness, a's boundary point toward b's center, in b's tube.  SLSQP, from
+    w = 0 and the witness, decides the rest and raises NoConvergence rather
+    than report an unconverged non-overlap.
     """
     _require_same_grid(a.grid, b.grid, "tubes")
     D = np.swapaxes(b.center.values, -1, -2) @ a.center.values
     L = math.sqrt((1.0 + _OVERLAP_MARGIN) * a.hquant / a.n) * np.linalg.cholesky(a.s)
     B = (b.n / ((1.0 + _OVERLAP_MARGIN) * b.hquant)) * np.linalg.inv(b.s)
     m0 = so3.log_so3(D, validate=False)                 # exp(-m0) = D^T: b's center
-    w_center = np.linalg.solve(L, -m0[..., None])[..., 0]
-    q = np.where(np.linalg.norm(w_center, axis=-1) <= 1.0, 0.0,
-                 np.einsum("ka,kab,kb->k", m0, B, m0))
+    q = np.einsum("ka,kab,kb->k", m0, B, m0)           # a's center in b's tube
     # Triangle inequality: a common point is within a semi-axis of each center.
     reach = np.linalg.norm(L, 2, axis=(1, 2)) + np.sqrt(1.0 / np.linalg.eigvalsh(B)[:, 0])
     q[np.linalg.norm(m0, axis=-1) > reach] = np.inf
     todo = np.flatnonzero((q > 1.0) & np.isfinite(q))
-    w_edge = w_center[todo] / np.linalg.norm(w_center[todo], axis=-1, keepdims=True)
+    w_c = np.linalg.solve(L[todo], -m0[todo, :, None])[..., 0]   # L w_c = -m0: b's center
+    inside = np.linalg.norm(w_c, axis=-1) <= 1.0
+    q[todo[inside]], todo = 0.0, todo[~inside]          # b's form is 0 at b's center
+    w_edge = w_c[~inside] / np.linalg.norm(w_c[~inside], axis=-1, keepdims=True)
     m = so3.log_so3(D[todo] @ so3.exp_so3(np.einsum("kab,kb->ka", L[todo], w_edge)),
                     validate=False)
     q[todo] = np.einsum("ka,kab,kb->k", m, B[todo], m)

@@ -19,8 +19,8 @@ from rotubes.cli import cli_main
 from rotubes.curves import (RotationCurve, SpatioTemporalAction, TimeGrid,
                             apply_action)
 from rotubes.gkf import EcContext, lkc_estimate, solve_quantile
-from rotubes.tubes import (ConfidenceTube, assemble_tube, compare_tubes, tube_contains,
-                           tube_ingredients)
+from rotubes.tubes import (ConfidenceTube, assemble_tube, compare_tubes, hotelling,
+                           tube_contains, tube_ingredients)
 
 SEED = 20260811
 
@@ -164,8 +164,8 @@ def test_criterion_7_equivariance_suite():
         s_expected = np.swapaxes(q_rot, -1, -2) @ ing_x.s @ q_rot
         worst["s"] = max(worst["s"], float(np.abs(ing_y.s - s_expected).max()))
 
-        h_x = tube_ingredients(sample_x, center=center_x).h
-        h_y = tube_ingredients(sample_y, center=center_y).h
+        h_x = hotelling(ing_x, center_x)
+        h_y = hotelling(ing_y, center_y)
         worst["s"] = max(worst["s"], float(np.abs(h_x - h_y).max()))
 
         for amp in (0.02, 0.05):
@@ -199,8 +199,8 @@ def test_criterion_7b_generic_rotation_identities():
         acted = apply_action(sample, act)
         ing_y = tube_ingredients(acted)
         assert np.abs(ing_y.s - q_rot.T @ ing.s @ q_rot).max() <= 1e-9
-        h_x = tube_ingredients(sample, center=center).h
-        h_y = tube_ingredients(acted, center=apply_action(center, act)).h
+        h_x = hotelling(ing, center)
+        h_y = hotelling(ing_y, apply_action(center, act))
         assert np.abs(h_x - h_y).max() <= 1e-9
 
 

@@ -1129,11 +1129,11 @@ class TestCli:
                                                                 monkeypatch):
         ingredients, calls = rt.tubes.tube_ingredients, []
 
-        def singular_first(sample, center=None):
+        def singular_first(sample):
             calls.append(sample)
             if len(calls) == 1:
                 raise rt.SingularCovariance("residual covariance singular", t=0.0, index=0)
-            return ingredients(sample, center)
+            return ingredients(sample)
 
         monkeypatch.setattr(rt.tubes, "tube_ingredients", singular_first)
         out = str(tmp_path / "report.json")

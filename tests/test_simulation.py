@@ -419,11 +419,11 @@ class TestCoverageExperiment:
         clean = rt.coverage_experiment(spec, 5, reps, alphas, grid, seed=3)
         ingredients, calls = tubes.tube_ingredients, []
 
-        def singular_once(sample, center=None):
+        def singular_once(sample):
             calls.append(sample)
             if len(calls) == singular + 1:
                 raise SingularCovariance("residual covariance singular", t=0.0, index=0)
-            return ingredients(sample, center)
+            return ingredients(sample)
 
         monkeypatch.setattr(tubes, "tube_ingredients", singular_once)
         if reps == 999:
@@ -598,6 +598,17 @@ class TestCoverageExperiment:
             assert tracer.calls_of(hook) == tested, hook
 
 
+class TestRunBattery:
+    def test_rows_without_reference_rates_are_refused_before_any_cell_runs(self):
+        # A row the published design lacks has no reference rates to report beside it.
+        cells = []
+        with pytest.raises(ValueError, match=r"^rows without reference rates: "
+                                             r"\[\(10, 0\.07, 1, 1\)\]$"):
+            battery.run_battery(2, 5, TimeGrid.uniform(11), progress=cells.append,
+                                rows=[(10, 0.05, 1, 1), (10, 0.07, 1, 1)])
+        assert cells == []
+
+
 class TestMcQuantileOracle:
     def test_monotone_in_confidence(self):
         spec = rt.ErrorProcessSpec(1, 1, 1, 0.05)
@@ -629,6 +640,17 @@ class TestMcQuantileOracle:
         with pytest.raises(ValueError, match=what):
             rt.mc_quantile_oracle(rt.ErrorProcessSpec(1, 1, 1, 0.05), n, reps, 0.1,
                                   TimeGrid.uniform(11), seed=1)
+
+    @pytest.mark.parametrize("alpha", [0.0, True, 0.7, 1.0])
+    def test_alpha_outside_the_tail_is_refused_before_drawing(self, monkeypatch, alpha):
+        # The one alpha rule of solve_quantile, ConfidenceTube and coverage_experiment.
+        draws = []
+        monkeypatch.setattr(simulation, "_error_paths",
+                            lambda *args: draws.append(args) or _error_paths(*args))
+        with pytest.raises(ValueError, match=rf"^alpha must be in \(0, 0\.5\], got {alpha!r}$"):
+            rt.mc_quantile_oracle(rt.ErrorProcessSpec(1, 1, 1, 0.05), 8, 50, alpha,
+                                  TimeGrid.uniform(11), seed=1)
+        assert draws == []
 
     def test_bootstrap_stderr_halves_when_reps_double(self):
         # Quantile sampling error shrinks ~sqrt(2)x when reps double.

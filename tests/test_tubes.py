@@ -16,7 +16,7 @@ from rotubes.curves import (CurveSample, RotationCurve, SpatioTemporalAction, Ti
                             apply_action)
 from rotubes.errors import GridMismatch, NoConvergence, SingularCovariance
 from rotubes.tubes import (ConfidenceTube, OverlapReport, _check_spd, _right_jacobian, act_on_tube,
-                           build_tube, compare_tubes, tube_contains, tube_ingredients)
+                           build_tube, compare_tubes, hotelling, tube_contains, tube_ingredients)
 
 
 def gp_sample(n=8, k=41, sigma=0.05, seed=0, center=None):
@@ -113,8 +113,8 @@ class TestHotelling:
     def test_center_equal_to_mean_gives_zero_statistic(self):
         sample, _, _ = gp_sample(seed=1)
         pem = rt.pointwise_extrinsic_mean(sample)
-        proc = tube_ingredients(sample, center=pem)
-        assert np.abs(proc.h).max() <= 1e-18
+        h = hotelling(tube_ingredients(sample), pem)
+        assert np.abs(h).max() <= 1e-18
 
     def test_hand_built_matches_direct_solve(self):
         grid = TimeGrid.uniform(2)
@@ -123,14 +123,15 @@ class TestHotelling:
         mats = so3.exp_so3(disp)
         sample = CurveSample(grid, np.broadcast_to(mats[:, None], (4, 2, 3, 3)).copy())
         center = RotationCurve.identity(grid)
-        proc = tube_ingredients(sample, center=center)
+        proc = tube_ingredients(sample)
+        h = hotelling(proc, center)
         # Direct evaluation from the definition.
         pem = rt.pointwise_extrinsic_mean(sample).values[0]
         x = np.stack([so3.log_so3(pem.T @ R) for R in mats])
         S = sum(np.outer(v, v) for v in x) / 3.0
         xbar = so3.log_so3(pem.T @ np.eye(3))
         expected = 4.0 * xbar @ np.linalg.inv(S) @ xbar
-        assert proc.h[0] == pytest.approx(expected, rel=1e-10)
+        assert h[0] == pytest.approx(expected, rel=1e-10)
         assert np.allclose(proc.s[0], S, atol=1e-15)
 
     def test_approximates_generating_process_statistic(self):
@@ -140,13 +141,13 @@ class TestHotelling:
             devs = []
             for rep in range(10):
                 sample, center, paths = gp_sample(n=10, sigma=sigma, seed=(3, rep))
-                proc = tube_ingredients(sample, center=center)
+                h = hotelling(tube_ingredients(sample), center)
                 abar = paths.mean(axis=0)
                 dev = paths - abar
                 S = np.einsum("nka,nkb->kab", dev, dev) / (paths.shape[0] - 1)
                 h_gen = 10.0 * np.einsum(
                     "ka,ka->k", abar, np.linalg.solve(S, abar[..., None])[..., 0])
-                devs.append(np.abs(proc.h - h_gen).max())
+                devs.append(np.abs(h - h_gen).max())
             errs[sigma] = np.median(devs)
         assert errs[0.02] < errs[0.08]
         assert errs[0.02] < 2.0 * (0.02 / 0.08) * errs[0.08]
@@ -165,8 +166,8 @@ class TestHotelling:
                                         center, grid_x, 8, 17)
         acted = apply_action(sample, act, out_grid=grid_y)
         acted_center = apply_action(center, act, out_grid=grid_y)
-        h_x = tube_ingredients(sample, center=center).h
-        h_y = tube_ingredients(acted, center=acted_center).h
+        h_x = hotelling(tube_ingredients(sample), center)
+        h_y = hotelling(tube_ingredients(acted), acted_center)
         assert np.abs(h_x - h_y).max() <= 1e-9
 
     def test_singular_covariance_reported_with_location(self):
@@ -234,12 +235,13 @@ class TestBuildTubeAndContains:
         # A tube whose quantile is max_t H_t holds the center H was taken at,
         # and the next float below it drops the point where H peaks.
         sample, center, _ = gp_sample(sigma=0.05, seed=12)
-        ing = tube_ingredients(sample, center)
-        tube = ConfidenceTube(center=ing.center, s=ing.s, hquant=float(ing.h.max()),
+        ing = tube_ingredients(sample)
+        h = hotelling(ing, center)
+        tube = ConfidenceTube(center=ing.center, s=ing.s, hquant=float(h.max()),
                               alpha=0.05, n=ing.n)
         assert tube_contains(tube, center)[1]
         below = dataclasses.replace(tube, hquant=np.nextafter(tube.hquant, 0.0))
-        assert not tube_contains(below, center)[0][np.argmax(ing.h)]
+        assert not tube_contains(below, center)[0][np.argmax(h)]
 
     def test_alpha_ordering(self):
         sample, _, _ = gp_sample(seed=12)
@@ -474,6 +476,27 @@ class TestCompareTubes:
                 report = compare_tubes(first, second)
                 assert report.overlap.tolist() == [True, True, overlaps, True, True]
                 assert len(searches) == runs and all(res.success for res in searches)
+
+    @pytest.mark.parametrize("r_b", [0.01, 1e-17])
+    def test_b_center_inside_a_certifies_overlap(self, searches, r_b):
+        # Isotropic tubes on one center curve, except at t = 0.5, where the centers
+        # lie 0.03 apart: b's center (r_b = 0.01) is inside a's cross-section
+        # (r_a = 0.05), a's center is outside b's tube.  b's center certifies the
+        # overlap; a's boundary point toward it lies 0.02 beyond it, outside b.
+        # With r_b = 1e-17 (a hand-built S_b = 1e-34 I) b's form read at a
+        # round-off distance of 1e-16 from b's center exceeds 1, so b's center
+        # must be decided exactly, at t = 0.5 and at the points of equal centers.
+        grid = TimeGrid.uniform(5)
+        base = so3.exp_so3(np.stack([0.3 * grid.t, 0.1 * np.sin(grid.t), 0.2 * grid.t], -1))
+        eye = np.broadcast_to(np.eye(3), (5, 3, 3))
+        other = base.copy()
+        other[2] = base[2] @ so3.exp_so3(0.03 * np.array([2.0, -1.0, 2.0]) / 3.0)
+        a = make_tube(base, grid, 0.05 ** 2 * eye, 10.0, 10)
+        b = make_tube(other, grid, r_b ** 2 * eye, 12.0, 12)
+        for first, second in ((a, b), (b, a)):
+            searches.clear()
+            assert compare_tubes(first, second).overlap.all()
+            assert len(searches) == 0
 
     def test_wide_and_near_pi_fixtures(self):
         # Beyond criterion 9: separations up to 1.2 rad, cross-section scales
